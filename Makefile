@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-fig10 bench-mem vet lint debugtest golden golden-par fig10 golden-bigp golden-bigp-update golden-resize golden-resize-update golden-mem golden-mem-update check
+.PHONY: all build test race bench bench-json bench-fig10 bench-mem vet lint debugtest golden golden-update golden-par fig10 golden-bigp golden-bigp-update golden-resize golden-resize-update golden-mem golden-mem-update check
 
 all: build
 
@@ -119,13 +119,17 @@ golden-bigp-update:
 # models) must stay byte-identical to the checked-in baseline. The same
 # invocation exports the elastic grow leg's Chrome trace and metrics dump,
 # which carry the resize epochs (vmpi/resize and elastic/remap spans,
-# resize counter, world-size gauge).
+# resize counter, world-size gauge). The second run pins the executor to
+# one run slot (fully serialized ranks): figure bytes must not depend on
+# the worker count.
 golden-resize:
 	$(GO) run ./cmd/paperbench -fig resize -j $(JOBS) \
 		-trace-out obs_resize_trace.json -metrics-out obs_resize_metrics.txt \
 		> paperbench_resize.got.txt
 	diff -u paperbench_resize.txt paperbench_resize.got.txt
-	rm -f paperbench_resize.got.txt
+	$(GO) run ./cmd/paperbench -fig resize -j $(JOBS) -workers 1 > paperbench_resize.w1.txt
+	diff -u paperbench_resize.txt paperbench_resize.w1.txt
+	rm -f paperbench_resize.got.txt paperbench_resize.w1.txt
 
 golden-resize-update:
 	$(GO) run ./cmd/paperbench -fig resize -j $(JOBS) > paperbench_resize.txt
@@ -135,13 +139,16 @@ golden-resize-update:
 # sort strategies under the same budget, both machine models) must stay
 # byte-identical to the checked-in baseline. The same invocation exports
 # the planned exchange's Chrome trace and metrics dump, which carry the
-# redist/peak_bytes gauge and counter.
+# redist/peak_bytes gauge and counter. The second run pins the executor to
+# one run slot: figure bytes must not depend on the worker count.
 golden-mem:
 	$(GO) run ./cmd/paperbench -fig mem -j $(JOBS) \
 		-trace-out obs_mem_trace.json -metrics-out obs_mem_metrics.txt \
 		> paperbench_mem.got.txt
 	diff -u paperbench_mem.txt paperbench_mem.got.txt
-	rm -f paperbench_mem.got.txt
+	$(GO) run ./cmd/paperbench -fig mem -j $(JOBS) -workers 1 > paperbench_mem.w1.txt
+	diff -u paperbench_mem.txt paperbench_mem.w1.txt
+	rm -f paperbench_mem.got.txt paperbench_mem.w1.txt
 
 golden-mem-update:
 	$(GO) run ./cmd/paperbench -fig mem -j $(JOBS) > paperbench_mem.txt

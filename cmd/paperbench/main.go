@@ -11,7 +11,7 @@
 //	paperbench -fig all
 //	paperbench -fig all -j 8
 //	paperbench -fig 10
-//	paperbench -fig 10 -ranks-list 64,1024 -engine goroutine
+//	paperbench -fig 10 -ranks-list 64,1024 -workers 1
 //	paperbench -bench-fig10 BENCH_5.json
 //	paperbench -bench-fig10 BENCH_5.json -bench-baseline BENCH_3.json
 //	paperbench -bench-json BENCH_1.json
@@ -33,10 +33,10 @@
 //
 // -fig 10 is not part of -fig all: it is the large-P redistribution
 // strategy sweep (64 … 16384 virtual ranks by default, see EXPERIMENTS.md)
-// on the event-driven rank executor. -engine switches between the event
-// executor (default) and the legacy goroutine-per-rank machine; output is
-// byte-identical under both. -bench-fig10 writes the sweep's
-// per-rank-count host report (wall clock, memory, executor meters).
+// on the event-driven rank executor. -workers pins the executor's run-slot
+// count; output is byte-identical at any value. -bench-fig10 writes the
+// sweep's per-rank-count host report (wall clock, memory, executor
+// meters).
 //
 // -fig resize (also outside -fig all) is the elastic-worlds cost figure:
 // live vmpi.Resize with particle remapping versus static peak
@@ -73,7 +73,6 @@ import (
 	"repro/internal/benchjson"
 	"repro/internal/obs"
 	"repro/internal/paperbench"
-	"repro/internal/vmpi"
 )
 
 func main() {
@@ -87,7 +86,6 @@ func main() {
 		accuracy  = flag.Float64("accuracy", 1e-3, "requested solver accuracy")
 		seed      = flag.Int64("seed", 42, "particle system seed")
 		rankListF = flag.String("ranks-list", "2,4,8", "rank counts for the figure 9 and 10 sweeps (figure 10 defaults to 64,256,1024,4096,16384)")
-		engineF   = flag.String("engine", "event", "vmpi rank-execution engine: event or goroutine (output is byte-identical under both)")
 		benchJSON = flag.String("bench-json", "", "write a wall-clock + virtual-seconds benchmark report for all figures to this file and exit")
 		benchF10  = flag.String("bench-fig10", "", "write a figure 10 benchmark report (wall clock, memory, and executor meters per rank count) to this file and exit")
 		benchMem  = flag.String("bench-mem", "", "write a figure M benchmark report (memory-budget strategies on both machines) to this file and exit")
@@ -96,7 +94,7 @@ func main() {
 		traceOut  = flag.String("trace-out", "", "write a Chrome trace-event JSON of the canonical observability run to this file")
 		metricOut = flag.String("metrics-out", "", "write a Prometheus-style metrics dump of the canonical observability run to this file")
 		jobs      = flag.Int("j", runtime.NumCPU(), "concurrent experiment jobs (worker pool size; output is byte-identical at any value)")
-		workersF  = flag.Int("workers", 0, "event-engine run slots per experiment (0 = one slot plus host-budget extras; figure bytes are identical at any value)")
+		workersF  = flag.Int("workers", 0, "executor run slots per experiment (0 = one slot plus host-budget extras; figure bytes are identical at any value)")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile (taken after a final GC) to this file")
 	)
@@ -108,6 +106,10 @@ func main() {
 	// through os.Exit and drop the (partial) profiles, which is fine.
 	defer startProfiles(*cpuProf, *memProf)()
 
+	if *workersF < 0 {
+		fmt.Fprintf(os.Stderr, "paperbench: bad -workers %d: want 0 (executor default) or a positive run-slot count\n", *workersF)
+		os.Exit(2)
+	}
 	paperbench.SetJobs(*jobs)
 	paperbench.SetEngineWorkers(*workersF)
 	if *jobs > 1 {
@@ -157,25 +159,13 @@ func main() {
 		fig10Ranks = paperbench.Fig10DefaultRanks()
 	}
 
-	var engine vmpi.Engine
-	switch *engineF {
-	case "event":
-		engine = vmpi.EngineEvent
-	case "goroutine":
-		engine = vmpi.EngineGoroutine
-	default:
-		fmt.Fprintf(os.Stderr, "paperbench: unknown -engine %q (want event or goroutine)\n", *engineF)
-		os.Exit(2)
-	}
-	base.Engine = engine
-
 	if *benchBase != "" && *benchJSON == "" && *benchF10 == "" {
 		fmt.Fprintln(os.Stderr, "paperbench: -bench-baseline requires -bench-json or -bench-fig10")
 		os.Exit(2)
 	}
 
 	if *benchF10 != "" {
-		rep := benchjson.CollectFig10(fig10Ranks, engine)
+		rep := benchjson.CollectFig10(fig10Ranks)
 		if err := benchjson.WriteFile(rep, *benchF10); err != nil {
 			fmt.Fprintf(os.Stderr, "paperbench: writing %s: %v\n", *benchF10, err)
 			os.Exit(1)
@@ -197,7 +187,7 @@ func main() {
 	}
 
 	if *benchMem != "" {
-		rep := benchjson.CollectMem(engine)
+		rep := benchjson.CollectMem()
 		if err := benchjson.WriteFile(rep, *benchMem); err != nil {
 			fmt.Fprintf(os.Stderr, "paperbench: writing %s: %v\n", *benchMem, err)
 			os.Exit(1)
@@ -256,21 +246,21 @@ func main() {
 			fmt.Print(paperbench.RenderFig9("p2nfft", cfg.Machine.Name, pts))
 		case "10":
 			for _, m := range []paperbench.Machine{paperbench.JuRoPA(), paperbench.Juqueen()} {
-				pts := paperbench.Fig10(m, fig10Ranks, engine)
+				pts := paperbench.Fig10(m, fig10Ranks)
 				fmt.Print(paperbench.RenderFig10(m.Name, pts))
 				fmt.Println()
 			}
 			return
 		case "resize":
 			for _, m := range []paperbench.Machine{paperbench.JuRoPA(), paperbench.Juqueen()} {
-				pts := paperbench.FigResize(m, engine)
+				pts := paperbench.FigResize(m)
 				fmt.Print(paperbench.RenderFigResize(m.Name, pts))
 				fmt.Println()
 			}
 			return
 		case "mem":
 			for _, m := range []paperbench.Machine{paperbench.JuRoPA(), paperbench.Juqueen()} {
-				rows := paperbench.FigMem(m, engine)
+				rows := paperbench.FigMem(m)
 				fmt.Print(paperbench.RenderFigMem(m.Name, rows))
 				fmt.Println()
 			}
@@ -295,7 +285,7 @@ func main() {
 		// whose vmpi/resize and elastic/remap spans, resize counter, and
 		// world-size gauge show the resize epochs in both exports.
 		if *traceOut != "" || *metricOut != "" {
-			exportEventLog(*traceOut, *metricOut, "elastic resize", paperbench.FigResizeObs(engine))
+			exportEventLog(*traceOut, *metricOut, "elastic resize", paperbench.FigResizeObs())
 		}
 		return
 	}
@@ -303,7 +293,7 @@ func main() {
 		// The memory figure exports the planned exchange's own timeline,
 		// where the redist/peak_bytes gauge and counter are visible.
 		if *traceOut != "" || *metricOut != "" {
-			exportEventLog(*traceOut, *metricOut, "memory budget", paperbench.FigMemObs(engine))
+			exportEventLog(*traceOut, *metricOut, "memory budget", paperbench.FigMemObs())
 		}
 		return
 	}

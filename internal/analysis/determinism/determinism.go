@@ -55,8 +55,8 @@ var Analyzer = &analysis.Analyzer{
 // dispatch there could leak the host schedule into execution order, so it
 // is checked in its entirety as well. The elastic package remaps the full
 // particle state across world resizes — its output must be a pure function
-// of the pre-resize distribution (the resize goldens and the cross-engine
-// byte identity depend on it), so it joins the hot set too. The redist
+// of the pre-resize distribution (the resize goldens and their
+// cross-worker byte identity depend on it), so it joins the hot set too. The redist
 // package plans every redistribution's round schedule and element routing
 // — the memory-budget golden and the bounded/unbounded byte identity
 // require a plan to be a pure function of the targets and the budget — so

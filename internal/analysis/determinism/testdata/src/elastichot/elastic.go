@@ -3,7 +3,7 @@
 // package name, so this stands in for repro/internal/elastic. A remap
 // decides which rank receives which particle; the assignment must be a
 // pure function of the pre-resize distribution — the resize figure goldens
-// and the cross-engine byte identity depend on it — so the remap path may
+// and their cross-worker byte identity depend on it — so the remap path may
 // not read the wall clock, draw random placements, or walk maps.
 package elastic
 

@@ -1,14 +1,10 @@
 package benchjson
 
-import (
-	"testing"
-
-	"repro/internal/vmpi"
-)
+import "testing"
 
 func TestCollectFig10(t *testing.T) {
 	ranks := []int{4, 8}
-	rep := CollectFig10(ranks, vmpi.EngineEvent)
+	rep := CollectFig10(ranks)
 	if len(rep.Figures) != 2 {
 		t.Fatalf("got %d figures, want 2 (one per machine)", len(rep.Figures))
 	}

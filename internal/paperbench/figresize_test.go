@@ -18,7 +18,7 @@ func TestFigResizeCells(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full elastic MD runs exceed the test timeout under the race detector; the elastic package's race tests cover the resize/remap interleavings")
 	}
-	pts := FigResize(JuRoPA(), vmpi.EngineEvent)
+	pts := FigResize(JuRoPA())
 	if len(pts) != len(FigResizeDirections()) {
 		t.Fatalf("got %d points, want %d", len(pts), len(FigResizeDirections()))
 	}
@@ -51,27 +51,12 @@ func TestFigResizeCells(t *testing.T) {
 	}
 }
 
-// TestFigResizeEnginesAgree pins the elastic scenario's determinism across
-// rank-execution engines: the rendered figure bytes must be identical under
-// the event executor and the goroutine machine.
-func TestFigResizeEnginesAgree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("two full elastic sweeps exceed the test timeout under the race detector; make golden-resize diffs both engines byte-for-byte")
-	}
-	m := Juqueen()
-	ev := RenderFigResize(m.Name, FigResize(m, vmpi.EngineEvent))
-	gr := RenderFigResize(m.Name, FigResize(m, vmpi.EngineGoroutine))
-	if ev != gr {
-		t.Errorf("engines render different figures:\nevent:\n%s\ngoroutine:\n%s", ev, gr)
-	}
-}
-
 // TestFigResizeObsShowsEpochs verifies the exported timeline makes the
 // resize epochs visible: the grow leg's event log carries the vmpi resize
 // spans, the elastic remap spans, the resize counter, and world-size gauge
 // samples for every size the schedule touches.
 func TestFigResizeObsShowsEpochs(t *testing.T) {
-	l := FigResizeObs(vmpi.EngineEvent)
+	l := FigResizeObs()
 	d := FigResizeDirections()[0]
 	if n := l.Counter(vmpi.CounterResizes); n < float64(len(d.Schedule)) {
 		t.Errorf("resize counter total %v, want at least %d", n, len(d.Schedule))

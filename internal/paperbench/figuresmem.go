@@ -40,7 +40,7 @@ import (
 // the three sorts must agree on the sorted key sequence regardless of
 // their different element routes. Reported peak bytes are the cross-rank
 // maximum of the redist/peak_bytes gauge — a pure function of the
-// routing, deterministic on both engines at any -j.
+// routing, deterministic at any -j and -workers.
 
 const (
 	figMemRanks = 32
@@ -161,13 +161,12 @@ func figMemRow(op, strategy string, st *vmpi.Stats) FigMemRow {
 
 // FigMem measures the five strategies on one machine as independent
 // experiments.
-func FigMem(machine Machine, engine vmpi.Engine) []FigMemRow {
+func FigMem(machine Machine) []FigMemRow {
 	cfg := func(budget int64) vmpi.Config {
 		return vmpi.Config{
 			Ranks:            figMemRanks,
 			Model:            machine.Model(figMemRanks),
 			ComputeScale:     machine.ComputeScale,
-			Engine:           engine,
 			Workers:          execWorkers,
 			MaxExchangeBytes: budget,
 		}
@@ -204,13 +203,12 @@ func FigMem(machine Machine, engine vmpi.Engine) []FigMemRow {
 // FigMemObs replays the planned exchange once and returns its event log
 // for the Chrome-trace and metrics exports: the redist/peak_bytes gauge
 // samples and counter totals appear on the exported timeline.
-func FigMemObs(engine vmpi.Engine) *obs.Log {
+func FigMemObs() *obs.Log {
 	m := JuRoPA()
 	st := vmpi.Run(vmpi.Config{
 		Ranks:            figMemRanks,
 		Model:            m.Model(figMemRanks),
 		ComputeScale:     m.ComputeScale,
-		Engine:           engine,
 		Workers:          execWorkers,
 		MaxExchangeBytes: figMemBudget,
 	}, figMemExchangeBody(false))

@@ -1,11 +1,9 @@
 package paperbench
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/redist"
-	"repro/internal/vmpi"
 )
 
 // figMemRowsByKey indexes a FigMem result by op/strategy.
@@ -23,7 +21,7 @@ func figMemRowsByKey(t *testing.T, rows []FigMemRow) map[string]FigMemRow {
 // identical routing runs under it in more than one round with the exact
 // same result, and all three sorts agree on the sorted key sequence.
 func TestFigMemBudget(t *testing.T) {
-	rows := FigMem(JuRoPA(), vmpi.EngineEvent)
+	rows := FigMem(JuRoPA())
 	if len(rows) != 5 {
 		t.Fatalf("got %d rows, want 5", len(rows))
 	}
@@ -64,27 +62,10 @@ func TestFigMemBudget(t *testing.T) {
 	}
 }
 
-// TestFigMemEnginesAgree pins the figure's determinism across rank-execution
-// engines: the rendered bytes must be identical under the event executor and
-// the goroutine machine.
-func TestFigMemEnginesAgree(t *testing.T) {
-	m := Juqueen()
-	ev := RenderFigMem(m.Name, FigMem(m, vmpi.EngineEvent))
-	gr := RenderFigMem(m.Name, FigMem(m, vmpi.EngineGoroutine))
-	if ev != gr {
-		t.Errorf("engines render different figures:\nevent:\n%s\ngoroutine:\n%s", ev, gr)
-	}
-	for _, want := range []string{"Figure M", "exchange", "planned", "partition", "rotational"} {
-		if !strings.Contains(ev, want) {
-			t.Errorf("rendered table missing %q:\n%s", want, ev)
-		}
-	}
-}
-
 // TestFigMemObsCarriesMeter verifies the exported timeline carries the
 // staging meter: gauge samples under the budget and a counter total.
 func TestFigMemObsCarriesMeter(t *testing.T) {
-	l := FigMemObs(vmpi.EngineEvent)
+	l := FigMemObs()
 	peak, ok := l.GaugeMax(redist.MeterPeakBytes)
 	if !ok {
 		t.Fatalf("exported timeline has no %s gauge", redist.MeterPeakBytes)

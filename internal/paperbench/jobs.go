@@ -27,17 +27,17 @@ var jobWorkers int
 // value.
 func SetJobs(n int) { jobWorkers = n }
 
-// execWorkers is the event-engine run-slot count threaded into every
+// execWorkers is the executor run-slot count threaded into every
 // experiment's vmpi.Config (the paperbench -workers flag). Zero keeps the
-// engine default: one slot plus host-budget extras. The goroutine engine
-// ignores it. Figure bytes are identical at any value — CI proves it by
-// diffing the large-P golden at -workers 4 against the checked-in
+// executor default: one slot plus host-budget extras. Figure bytes are
+// identical at any value — make golden-bigp, golden-resize and golden-mem
+// prove it by diffing a pinned -workers run against the checked-in
 // baseline.
 var execWorkers int
 
-// SetEngineWorkers fixes the event engine's run-slot count for every
+// SetEngineWorkers fixes the executor's run-slot count for every
 // experiment (the paperbench -workers flag). n below 1 restores the
-// engine default. The setting affects wall-clock time only; figure output
+// executor default. The setting affects wall-clock time only; figure output
 // is identical at any value.
 func SetEngineWorkers(n int) {
 	if n < 0 {
@@ -46,8 +46,8 @@ func SetEngineWorkers(n int) {
 	execWorkers = n
 }
 
-// EngineWorkers returns the configured event-engine run-slot count (0 =
-// engine default).
+// EngineWorkers returns the configured executor run-slot count (0 =
+// executor default).
 func EngineWorkers() int { return execWorkers }
 
 // Jobs returns the effective scheduler worker count: the SetJobs value, or
@@ -73,7 +73,7 @@ const (
 	JobRunCounter = "sched/run_seconds"
 )
 
-// Event-engine executor meters, accumulated per experiment run. Counters
+// Executor meters, accumulated per experiment run. Counters
 // sum across runs; the *_max gauges are per-run high-water marks.
 const (
 	ExecParksCounter      = "vmpi/exec/parks"
@@ -100,12 +100,8 @@ const (
 // virtual machine's event log or the golden exports.
 func HostObs() *obs.HostBuffer { return jobStats }
 
-// recordExecStats appends one run's executor meters (no-op under the
-// goroutine engine, which has none).
+// recordExecStats appends one run's executor meters.
 func recordExecStats(ex *vmpi.ExecStats) {
-	if ex == nil {
-		return
-	}
 	jobStats.Counter(ExecParksCounter, float64(ex.Parks))
 	jobStats.Counter(ExecWakeupsCounter, float64(ex.Wakeups))
 	jobStats.Counter(ExecSpawnedCounter, float64(ex.Spawned))

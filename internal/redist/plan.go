@@ -45,7 +45,7 @@ const tagPlan = 221
 // counter (sum of staged peaks over all metered exchanges on a rank) that
 // Execute emits when a budget is active or Options.Meter is set. The
 // value is a pure function of the routing, so it is deterministic across
-// engines and host parallelism — but budgetless, unmetered configs (all
+// run-slot counts and host parallelism — but budgetless, unmetered configs (all
 // golden figures) emit no meter events at all, keeping their event
 // streams unchanged.
 const MeterPeakBytes = "redist/peak_bytes"
@@ -384,7 +384,7 @@ func meterPeak(p *Plan, peak int64) {
 // rank order for the all-to-all backend, self first then neighbor order
 // for the neighborhood backend — that rank's elements in their local
 // order. The result is byte-identical across budgets, backends, and
-// engines.
+// run-slot counts.
 //
 // Spelled as a package function because Go methods cannot be generic;
 // read it as plan.Execute[T].

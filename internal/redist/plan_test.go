@@ -10,17 +10,9 @@ import (
 
 // The planner's contract (DESIGN.md §14): under any budget the result of
 // every redistribution operation is byte-identical to the unbounded path,
-// on both rank-execution engines, and the staged peak never exceeds
-// max(budget, largest single destination block) — a destination that
-// alone exceeds the budget gets a singleton round.
-
-var planEngines = []struct {
-	name string
-	e    vmpi.Engine
-}{
-	{"event", vmpi.EngineEvent},
-	{"goroutine", vmpi.EngineGoroutine},
-}
+// and the staged peak never exceeds max(budget, largest single destination
+// block) — a destination that alone exceeds the budget gets a singleton
+// round.
 
 var planRanks = []int{2, 3, 5, 8, 16, 64}
 
@@ -87,8 +79,8 @@ func maxDestBytes(p int, dests [][][]int, elemBytes int64) int64 {
 }
 
 // runPlanExchange runs the exchange once and returns per-rank probes.
-func runPlanExchange(p int, engine vmpi.Engine, budget int64, inputs [][]elem, dests [][][]int) []planProbe {
-	st := vmpi.Run(vmpi.Config{Ranks: p, Engine: engine, MaxExchangeBytes: budget}, func(c *vmpi.Comm) {
+func runPlanExchange(p int, budget int64, inputs [][]elem, dests [][][]int) []planProbe {
+	st := vmpi.Run(vmpi.Config{Ranks: p, MaxExchangeBytes: budget}, func(c *vmpi.Comm) {
 		in := inputs[c.Rank()]
 		d := dests[c.Rank()]
 		pl := NewPlan(c, len(in), func(i int, dst []int) []int {
@@ -104,7 +96,7 @@ func runPlanExchange(p int, engine vmpi.Engine, budget int64, inputs [][]elem, d
 }
 
 // TestPlanExchangeMatchesUnbounded is the central property: across rank
-// counts 2–64, both engines, and budgets down to a single byte, the
+// counts 2–64 and budgets down to a single byte, the
 // bounded exchange delivers exactly the unbounded result on every rank,
 // and the metered peak respects max(budget, largest destination block).
 func TestPlanExchangeMatchesUnbounded(t *testing.T) {
@@ -112,36 +104,25 @@ func TestPlanExchangeMatchesUnbounded(t *testing.T) {
 	for _, p := range planRanks {
 		inputs, dests := planInputs(p, p)
 		floor := maxDestBytes(p, dests, elemBytes)
-		var ref []planProbe
-		for _, eng := range planEngines {
-			unbounded := runPlanExchange(p, eng.e, 0, inputs, dests)
-			if ref == nil {
-				ref = unbounded
+		unbounded := runPlanExchange(p, 0, inputs, dests)
+		for _, budget := range planBudgets {
+			bounded := runPlanExchange(p, budget, inputs, dests)
+			limit := budget
+			if floor > limit {
+				limit = floor
 			}
-			for r := range unbounded {
-				if !reflect.DeepEqual(unbounded[r].Out, ref[r].Out) {
-					t.Fatalf("p=%d rank %d: engines disagree on the unbounded result", p, r)
+			for r := range bounded {
+				if !reflect.DeepEqual(bounded[r].Out, unbounded[r].Out) {
+					t.Fatalf("p=%d budget=%d rank %d: bounded result diverges from unbounded",
+						p, budget, r)
 				}
-			}
-			for _, budget := range planBudgets {
-				bounded := runPlanExchange(p, eng.e, budget, inputs, dests)
-				limit := budget
-				if floor > limit {
-					limit = floor
+				if bounded[r].Peak > limit {
+					t.Errorf("p=%d budget=%d rank %d: staged peak %d exceeds max(budget, largest block)=%d",
+						p, budget, r, bounded[r].Peak, limit)
 				}
-				for r := range bounded {
-					if !reflect.DeepEqual(bounded[r].Out, ref[r].Out) {
-						t.Fatalf("p=%d %s budget=%d rank %d: bounded result diverges from unbounded",
-							p, eng.name, budget, r)
-					}
-					if bounded[r].Peak > limit {
-						t.Errorf("p=%d %s budget=%d rank %d: staged peak %d exceeds max(budget, largest block)=%d",
-							p, eng.name, budget, r, bounded[r].Peak, limit)
-					}
-					if bounded[r].Peak > unbounded[r].Peak {
-						t.Errorf("p=%d %s budget=%d rank %d: bounded peak %d above the unbounded staging total %d",
-							p, eng.name, budget, r, bounded[r].Peak, unbounded[r].Peak)
-					}
+				if bounded[r].Peak > unbounded[r].Peak {
+					t.Errorf("p=%d budget=%d rank %d: bounded peak %d above the unbounded staging total %d",
+						p, budget, r, bounded[r].Peak, unbounded[r].Peak)
 				}
 			}
 		}
@@ -171,8 +152,8 @@ func TestPlanNeighborhoodMatchesUnbounded(t *testing.T) {
 				moves[r][i] = rng.Intn(3) - 1
 			}
 		}
-		run := func(engine vmpi.Engine, budget int64) []probe {
-			st := vmpi.Run(vmpi.Config{Ranks: p, Engine: engine, MaxExchangeBytes: budget}, func(c *vmpi.Comm) {
+		run := func(budget int64) []probe {
+			st := vmpi.Run(vmpi.Config{Ranks: p, MaxExchangeBytes: budget}, func(c *vmpi.Comm) {
 				self := c.Rank()
 				neighbors := []int{(self + 1) % p, (self - 1 + p) % p}
 				if p == 2 {
@@ -191,17 +172,15 @@ func TestPlanNeighborhoodMatchesUnbounded(t *testing.T) {
 			}
 			return probes
 		}
-		ref := run(vmpi.EngineEvent, 0)
-		for _, eng := range planEngines {
-			for _, budget := range []int64{0, 1, 48, 1 << 16} {
-				got := run(eng.e, budget)
-				for r := range got {
-					if !got[r].Used {
-						t.Fatalf("p=%d %s budget=%d rank %d: ring targets fell back to all-to-all", p, eng.name, budget, r)
-					}
-					if !reflect.DeepEqual(got[r].Out, ref[r].Out) {
-						t.Fatalf("p=%d %s budget=%d rank %d: neighborhood result diverges", p, eng.name, budget, r)
-					}
+		ref := run(0)
+		for _, budget := range []int64{0, 1, 48, 1 << 16} {
+			got := run(budget)
+			for r := range got {
+				if !got[r].Used {
+					t.Fatalf("p=%d budget=%d rank %d: ring targets fell back to all-to-all", p, budget, r)
+				}
+				if !reflect.DeepEqual(got[r].Out, ref[r].Out) {
+					t.Fatalf("p=%d budget=%d rank %d: neighborhood result diverges", p, budget, r)
 				}
 			}
 		}
@@ -224,8 +203,8 @@ func TestPlanRemapMatchesUnbounded(t *testing.T) {
 		}
 	}
 	for _, newP := range []int{3, p} {
-		run := func(engine vmpi.Engine, budget int64) [][]elem {
-			st := vmpi.Run(vmpi.Config{Ranks: p, Engine: engine, MaxExchangeBytes: budget}, func(c *vmpi.Comm) {
+		run := func(budget int64) [][]elem {
+			st := vmpi.Run(vmpi.Config{Ranks: p, MaxExchangeBytes: budget}, func(c *vmpi.Comm) {
 				c.SetResult(RemapBlocks(c, inputs[c.Rank()], newP))
 			})
 			out := make([][]elem, p)
@@ -234,12 +213,10 @@ func TestPlanRemapMatchesUnbounded(t *testing.T) {
 			}
 			return out
 		}
-		ref := run(vmpi.EngineEvent, 0)
-		for _, eng := range planEngines {
-			for _, budget := range planBudgets {
-				if got := run(eng.e, budget); !reflect.DeepEqual(got, ref) {
-					t.Fatalf("newP=%d %s budget=%d: bounded remap diverges", newP, eng.name, budget)
-				}
+		ref := run(0)
+		for _, budget := range planBudgets {
+			if got := run(budget); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("newP=%d budget=%d: bounded remap diverges", newP, budget)
 			}
 		}
 	}
@@ -253,8 +230,8 @@ func TestPlanResortMatchesUnbounded(t *testing.T) {
 	n := p * perRank
 	rng := rand.New(rand.NewSource(7))
 	perm := rng.Perm(n)
-	run := func(engine vmpi.Engine, budget int64) [][]float64 {
-		st := vmpi.Run(vmpi.Config{Ranks: p, Engine: engine, MaxExchangeBytes: budget}, func(c *vmpi.Comm) {
+	run := func(budget int64) [][]float64 {
+		st := vmpi.Run(vmpi.Config{Ranks: p, MaxExchangeBytes: budget}, func(c *vmpi.Comm) {
 			self := c.Rank()
 			vals := make([]float64, perRank*stride)
 			indices := make([]Index, perRank)
@@ -273,12 +250,10 @@ func TestPlanResortMatchesUnbounded(t *testing.T) {
 		}
 		return out
 	}
-	ref := run(vmpi.EngineEvent, 0)
-	for _, eng := range planEngines {
-		for _, budget := range planBudgets {
-			if got := run(eng.e, budget); !reflect.DeepEqual(got, ref) {
-				t.Fatalf("%s budget=%d: bounded resort diverges", eng.name, budget)
-			}
+	ref := run(0)
+	for _, budget := range planBudgets {
+		if got := run(budget); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("budget=%d: bounded resort diverges", budget)
 		}
 	}
 }
@@ -296,8 +271,8 @@ func TestExchangeBlocksMatchesAlltoall(t *testing.T) {
 				sizes[r][d] = rng.Intn(9)
 			}
 		}
-		run := func(engine vmpi.Engine, budget int64) [][][]elem {
-			st := vmpi.Run(vmpi.Config{Ranks: p, Engine: engine, MaxExchangeBytes: budget}, func(c *vmpi.Comm) {
+		run := func(budget int64) [][][]elem {
+			st := vmpi.Run(vmpi.Config{Ranks: p, MaxExchangeBytes: budget}, func(c *vmpi.Comm) {
 				self := c.Rank()
 				parts := make([][]elem, p)
 				for d := range parts {
@@ -314,12 +289,10 @@ func TestExchangeBlocksMatchesAlltoall(t *testing.T) {
 			}
 			return out
 		}
-		ref := run(vmpi.EngineEvent, 0)
-		for _, eng := range planEngines {
-			for _, budget := range planBudgets {
-				if got := run(eng.e, budget); !reflect.DeepEqual(got, ref) {
-					t.Fatalf("p=%d %s budget=%d: bounded block exchange diverges", p, eng.name, budget)
-				}
+		ref := run(0)
+		for _, budget := range planBudgets {
+			if got := run(budget); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("p=%d budget=%d: bounded block exchange diverges", p, budget)
 			}
 		}
 	}

@@ -7,40 +7,26 @@ import (
 
 // Event-driven rank execution.
 //
-// The goroutine machine hands every rank to the Go scheduler at once: P
+// A rank's body is arbitrary Go code, so a goroutine is the only resumable
+// stack available — but handing every rank to the Go scheduler at once (P
 // goroutines, each with a stack, all runnable whenever their mailbox has
-// data. That is fine at the 16 ranks of the paper-figure configs and
-// hopeless at the paper's 16384 processes. The event engine keeps the
-// ranks-as-goroutines model (a rank's body is arbitrary Go code, so a
-// goroutine is the only resumable stack available) but moves runnability
-// under an explicit executor (internal/rankexec): a rank is parked when
-// its receive finds no matching message and re-enqueued when a delivery
-// arrives, and runnable ranks are multiplexed over a bounded set of run
-// slots — one base slot plus extras try-acquired from the process-wide
-// hostpar budget, the same pool the experiment scheduler and hostpar's
-// tile helpers draw from. Rank goroutines are spawned lazily on first
-// dispatch, so peak resident stacks track the slot bound, not P.
+// data) is hopeless at the paper's 16384 processes. Runnability therefore
+// lives under an explicit executor (internal/rankexec): a rank is parked
+// when its receive finds no matching message and re-enqueued when a
+// delivery arrives, and runnable ranks are multiplexed over a bounded set
+// of run slots — one base slot plus extras try-acquired from the
+// process-wide hostpar budget, the same pool the experiment scheduler and
+// hostpar's tile helpers draw from. Rank goroutines are spawned lazily on
+// first dispatch, so peak resident stacks track the slot bound, not P.
 //
-// The engines are interchangeable because virtual time is a pure function
-// of the program's communication structure and charged compute: parking a
-// rank changes when its host code runs, never what it computes. The
-// byte-identity gate in paperbench (figures, Chrome trace, Prometheus
-// export compared across engines at 16 ranks) enforces this end to end.
+// Virtual time is a pure function of the program's communication structure
+// and charged compute: receives match exactly on (src, tag, ctx), so
+// parking a rank changes when its host code runs, never what it computes.
+// The worker-count identity tests in paperbench (figures, Chrome trace,
+// Prometheus export compared across run-slot counts) enforce this end to
+// end.
 
-// Engine selects the rank-execution machinery of a Run.
-type Engine int
-
-const (
-	// EngineEvent is the default: ranks as resumable tasks multiplexed
-	// over a bounded worker pool drawing from the shared hostpar budget.
-	EngineEvent Engine = iota
-	// EngineGoroutine is the legacy machine: one free-running goroutine
-	// per rank, all scheduled by the Go runtime. Kept for comparison
-	// benchmarks and as the reference for the engine-equivalence tests.
-	EngineGoroutine
-)
-
-// ExecStats meters the event engine's host-side behaviour for one Run.
+// ExecStats meters the executor's host-side behaviour for one Run.
 // These are host-domain quantities — they depend on scheduling and never
 // enter the virtual event stream or the golden exports.
 type ExecStats struct {
@@ -81,20 +67,18 @@ func (rt *Runtime) flushWakes(st *rankState) {
 	st.pendingWakes = st.pendingWakes[:0]
 }
 
-// runEvent executes the ranks under the event-driven executor. It mirrors
-// the goroutine engine's panic contract: the first rank panic (including
-// the deadlock verdict) is re-raised in the caller's goroutine. Task ids
-// are instance ids: ranks admitted by a Resize join the executor as new
-// tasks (Admit) without disturbing the all-parked deadlock verdict, and
-// retired ranks simply finish.
+// runEvent executes the ranks under the event-driven executor. The first
+// rank panic (including the deadlock verdict) is re-raised in the caller's
+// goroutine. Task ids are instance ids: ranks admitted by a Resize join the
+// executor as new tasks (Admit) without disturbing the all-parked deadlock
+// verdict, and retired ranks simply finish.
 func runEvent(rt *Runtime, cfg Config, n int) {
 	panicCh := make(chan any, 1)
 	body := func(r int) {
 		defer func() {
 			if p := recover(); p != nil {
 				// Stop dispatching and return budget extras before the
-				// caller unwinds; parked sibling ranks stay parked, as
-				// blocked ranks do under the goroutine engine.
+				// caller unwinds; parked sibling ranks stay parked.
 				rt.exec.Abort()
 				select {
 				case panicCh <- p:
@@ -158,31 +142,10 @@ func execStatsFrom(s rankexec.Stats) *ExecStats {
 	}
 }
 
-// takeEvent is the event engine's receive wait: instead of sleeping on the
-// mailbox condition variable, the rank parks itself in the executor and is
-// re-enqueued by the delivering send. The recheck loop plus the executor's
-// wake-token protocol make the park race-free: a delivery between the
-// queue check and the park deposits a token that the park consumes.
-func (mb *mailbox) takeEvent(rt *Runtime, rank, src, tag int, ctx int64) *message {
-	k := mkey{src: src, tag: tag, ctx: ctx}
-	for {
-		mb.mu.Lock()
-		if q := mb.queues[k]; q != nil && q.head < len(q.msgs) {
-			m := mb.pop(k, q)
-			mb.mu.Unlock()
-			return m
-		}
-		mb.mu.Unlock()
-		rt.noteWaiting(rank, src, tag)
-		rt.exec.Park(rank)
-		rt.clearWaiting(rank)
-	}
-}
-
 // noteWaiting records what a rank is about to park for, feeding the
 // deadlock verdict's per-rank blocked-state dump. Three stored words per
-// park — formatting waits for the (rare) verdict, so the event engine's
-// park hot path does not allocate.
+// park — formatting waits for the (rare) verdict, so the park hot path
+// does not allocate.
 func (rt *Runtime) noteWaiting(rank, src, tag int) {
 	d := &rt.deadlock
 	d.mu.Lock()
@@ -198,8 +161,7 @@ func (rt *Runtime) clearWaiting(rank int) {
 	d.mu.Unlock()
 }
 
-// deadlockDump renders the all-parked verdict in the same format as the
-// goroutine engine's detector, so callers can treat both engines alike.
+// deadlockDump renders the all-parked verdict from the ranks' wait records.
 func (rt *Runtime) deadlockDump() string {
 	d := &rt.deadlock
 	d.mu.Lock()

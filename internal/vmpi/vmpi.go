@@ -5,9 +5,10 @@
 // The paper's algorithms (parallel sorting, fine-grained particle
 // redistribution, all-to-all vs. neighborhood exchange) are defined by which
 // messages of which sizes flow between which ranks. vmpi executes the real
-// data movement — every rank is a goroutine with private memory, and message
-// payloads are deep-copied between ranks — while charging communication and
-// computation to per-rank virtual clocks:
+// data movement — every rank is a resumable task with private memory, spawned
+// lazily on the event-driven executor (internal/rankexec, see exec.go), and
+// message payloads are deep-copied between ranks — while charging
+// communication and computation to per-rank virtual clocks:
 //
 //   - A send occupies the sender's port for an injection time given by the
 //     network model and puts the message in flight; it arrives at
@@ -110,7 +111,6 @@ type fifo struct {
 // every wake-up rescanned all other senders' pending messages.
 type mailbox struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
 	queues map[mkey]*fifo
 	// free recycles the last drained fifo cell (and its msgs backing
 	// array): most traffic is a ping-pong per match key, so one slot turns
@@ -119,20 +119,15 @@ type mailbox struct {
 }
 
 func newMailbox() *mailbox {
-	mb := &mailbox{queues: map[mkey]*fifo{}}
-	mb.cond = sync.NewCond(&mb.mu)
-	return mb
+	return &mailbox{queues: map[mkey]*fifo{}}
 }
 
-// put enqueues a message and wakes receivers. Under the event engine the
-// wakeup is the sender's responsibility: the delivering rank batches the
-// destination into its pending-wake list (sendMsg) and flushes the batch
-// to the executor before it can itself block, so a send that wakes k ranks
-// costs one executor episode, not k. Under the goroutine engine the wakeup
-// is a condition broadcast, and rt/dst additionally feed the legacy
-// deadlock detector (a delivery to a currently blocked rank defers any
-// all-blocked verdict until that rank has rescanned).
-func (mb *mailbox) put(rt *Runtime, dst int, m *message) {
+// put enqueues a message. Waking the receiver is the sender's
+// responsibility: the delivering rank batches the destination into its
+// pending-wake list (sendMsg) and flushes the batch to the executor before
+// it can itself block, so a send that wakes k ranks costs one executor
+// episode, not k.
+func (mb *mailbox) put(m *message) {
 	k := mkey{src: m.src, tag: m.tag, ctx: m.ctx}
 	mb.mu.Lock()
 	q := mb.queues[k]
@@ -146,11 +141,6 @@ func (mb *mailbox) put(rt *Runtime, dst int, m *message) {
 	}
 	q.msgs = append(q.msgs, m)
 	mb.mu.Unlock()
-	if rt.exec != nil {
-		return
-	}
-	rt.notePut(dst)
-	mb.cond.Broadcast()
 }
 
 // pop removes and returns the head of q, deleting the map entry when the
@@ -174,46 +164,37 @@ func (mb *mailbox) pop(k mkey, q *fifo) *message {
 // removes the first such message in arrival order. Arrival order from a
 // single source is the source's program order, so matching is deterministic.
 //
-// If every live rank of the virtual machine ends up blocked in take, no
-// rank can ever send again, so the program has deadlocked; the detector
-// then panics with a description of what each rank is waiting for instead
-// of hanging the process.
+// Instead of sleeping on the mailbox, the rank parks itself in the executor
+// and is re-enqueued by the delivering send. The recheck loop plus the
+// executor's wake-token protocol make the park race-free: a delivery
+// between the queue check and the park deposits a token that the park
+// consumes. If every live rank ends up parked, no rank can ever send
+// again; the executor's deadlock verdict then panics with a description of
+// what each rank is waiting for instead of hanging the process.
 func (mb *mailbox) take(rt *Runtime, rank, src, tag int, ctx int64) *message {
-	if rt.exec != nil {
-		return mb.takeEvent(rt, rank, src, tag, ctx)
-	}
 	k := mkey{src: src, tag: tag, ctx: ctx}
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
 	for {
+		mb.mu.Lock()
 		if q := mb.queues[k]; q != nil && q.head < len(q.msgs) {
-			return mb.pop(k, q)
+			m := mb.pop(k, q)
+			mb.mu.Unlock()
+			return m
 		}
-		rt.noteBlocked(rank, src, tag)
-		mb.cond.Wait()
-		rt.noteUnblocked(rank)
+		mb.mu.Unlock()
+		rt.noteWaiting(rank, src, tag)
+		rt.exec.Park(rank)
+		rt.clearWaiting(rank)
 	}
 }
 
-// deadlockState tracks which rank instances are blocked in a receive or
-// have finished, to detect all-blocked deadlocks. total counts every
-// instance ever admitted (retired ranks count as finished), so the verdict
-// stays exact across resizes. wakePending marks blocked ranks that have
-// received a message since blocking but have not yet rescanned their
-// queue; while any such token exists, an all-blocked state is not (yet) a
-// verdict.
+// deadlockState records what each rank instance is parked on, indexed by
+// instance id, for the deadlock verdict's dump.
 type deadlockState struct {
-	mu           sync.Mutex
-	total        int
-	blocked      int
-	finished     int
-	pendingCount int
-	isBlocked    []bool
-	wakePending  []bool
-	waitingOn    []waitRec
+	mu        sync.Mutex
+	waitingOn []waitRec
 }
 
-// waitRec records what a blocked rank is waiting for. Formatting is
+// waitRec records what a parked rank is waiting for. Formatting is
 // deferred to the verdict dump, so registering a wait on the park hot
 // path stores three words and never allocates.
 type waitRec struct {
@@ -221,57 +202,14 @@ type waitRec struct {
 	active   bool
 }
 
-// admit grows the detector's per-instance arrays for k newly admitted
-// ranks.
+// admit grows the wait records for k newly admitted ranks.
 func (d *deadlockState) admit(k int) {
 	d.mu.Lock()
-	d.total += k
-	for i := 0; i < k; i++ {
-		d.isBlocked = append(d.isBlocked, false)
-		d.wakePending = append(d.wakePending, false)
-		d.waitingOn = append(d.waitingOn, waitRec{})
-	}
+	d.waitingOn = append(d.waitingOn, make([]waitRec, k)...)
 	d.mu.Unlock()
 }
 
-// noteBlocked registers that a rank is about to wait. If that makes every
-// unfinished rank blocked with no wake-ups in flight, the program can never
-// progress: panic with the wait set.
-func (rt *Runtime) noteBlocked(rank, src, tag int) {
-	d := &rt.deadlock
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.blocked++
-	d.isBlocked[rank] = true
-	d.waitingOn[rank] = waitRec{src: src, tag: tag, active: true}
-	d.checkLocked()
-}
-
-// checkLocked panics with the wait set if every unfinished rank is blocked
-// with no wake-ups in flight. Callers hold d.mu.
-func (d *deadlockState) checkLocked() {
-	if d.blocked == 0 || d.blocked+d.finished != d.total || d.pendingCount != 0 {
-		return
-	}
-	panic(formatWaitSet(d.waitingOn))
-}
-
-// noteUnblocked registers that a rank woke up and consumed its wake token.
-func (rt *Runtime) noteUnblocked(rank int) {
-	d := &rt.deadlock
-	d.mu.Lock()
-	d.blocked--
-	d.isBlocked[rank] = false
-	if d.wakePending[rank] {
-		d.wakePending[rank] = false
-		d.pendingCount--
-	}
-	d.waitingOn[rank] = waitRec{}
-	d.mu.Unlock()
-}
-
-// formatWaitSet renders the all-blocked verdict from the recorded wait
-// set — both engines' detectors emit this exact format.
+// formatWaitSet renders the deadlock verdict from the recorded wait set.
 func formatWaitSet(waiting []waitRec) string {
 	msg := "vmpi: deadlock: all ranks blocked in receive:\n"
 	for r, w := range waiting {
@@ -280,30 +218,6 @@ func formatWaitSet(waiting []waitRec) string {
 		}
 	}
 	return msg
-}
-
-// notePut records a delivery to dst; if dst is blocked, the next
-// all-blocked check is deferred until dst rescans.
-func (rt *Runtime) notePut(dst int) {
-	d := &rt.deadlock
-	d.mu.Lock()
-	if d.isBlocked[dst] && !d.wakePending[dst] {
-		d.wakePending[dst] = true
-		d.pendingCount++
-	}
-	d.mu.Unlock()
-}
-
-// noteFinished registers that a rank's function returned. A finishing rank
-// can strand the rest (retirement after a shrink is the canonical case), so
-// the all-blocked verdict is re-checked here, mirroring the event
-// executor's finish path.
-func (rt *Runtime) noteFinished() {
-	d := &rt.deadlock
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.finished++
-	d.checkLocked()
 }
 
 // rankState is the per-rank mutable state shared by all communicators that
@@ -335,7 +249,7 @@ type rankState struct {
 	// collective, message, and counter events of the rank flow into it.
 	rec *obs.Buffer
 	// pendingWakes batches the instance ids this rank has delivered
-	// messages to but not yet woken (event engine only). The batch is
+	// messages to but not yet woken. The batch is
 	// flushed to the executor in one UnparkBatch episode before the rank
 	// can block (recvRaw) or finish, and whenever it reaches wakeBatchMax.
 	pendingWakes []int
@@ -357,7 +271,7 @@ type rankInstance struct {
 	// Cost(node, node, ...), so resized worlds keep physical locality.
 	node int
 	// comm is the world communicator the instance was admitted with; the
-	// engines hand it to the rank body on first dispatch.
+	// executor hands it to the rank body on first dispatch.
 	comm *Comm
 }
 
@@ -404,9 +318,6 @@ type Runtime struct {
 	f func(c *Comm)
 	// wall injects host wall-clock stamps into new obs buffers.
 	wall func() int64
-	// engine records which machine runs the ranks (resize spawns through
-	// the matching path).
-	engine Engine
 
 	// mu guards world, which rank 0 of a resize swaps while every other
 	// rank is quiescent. All cross-goroutine reads go through a lock so
@@ -415,19 +326,14 @@ type Runtime struct {
 	mu    sync.Mutex
 	world *epochWorld
 
-	// deadlock tracks blocked/finished ranks for deadlock detection (and,
-	// under the event engine, just the per-rank wait descriptions that
-	// feed the verdict dump).
+	// deadlock holds the per-rank wait descriptions that feed the
+	// deadlock verdict's dump.
 	deadlock deadlockState
-	// exec is the event-driven rank executor; nil selects the legacy
-	// goroutine machine. Written once before any rank runs.
+	// exec is the event-driven rank executor. Written once before any rank
+	// runs.
 	exec *rankexec.Executor
-	// execStats is the executor's final meter snapshot (event engine only).
+	// execStats is the executor's final meter snapshot.
 	execStats *ExecStats
-	// goWG and goPanic are the goroutine engine's completion plumbing,
-	// held on the runtime so Resize can launch admitted ranks.
-	goWG    *sync.WaitGroup
-	goPanic chan any
 }
 
 // currentWorld returns the runtime's live world snapshot.
@@ -445,15 +351,15 @@ func (rt *Runtime) setWorld(w *epochWorld) {
 	rt.mu.Unlock()
 }
 
-// instComm returns the admission communicator of an instance; the engines
-// call it when first dispatching the instance's task.
+// instComm returns the admission communicator of an instance; the executor
+// calls it when first dispatching the instance's task.
 func (rt *Runtime) instComm(id int) *Comm {
 	return rt.currentWorld().insts[id].comm
 }
 
 // Config parameterizes a virtual machine.
 type Config struct {
-	// Ranks is the number of MPI ranks (goroutines) the world starts with.
+	// Ranks is the number of MPI ranks the world starts with.
 	Ranks int
 	// MaxRanks bounds the world size Resize may grow to; 0 means Ranks
 	// (a fixed-capacity machine). The network model must cover MaxRanks.
@@ -465,14 +371,9 @@ type Config struct {
 	// Trace records every point-to-point message for post-run analysis
 	// (Stats.Trace).
 	Trace bool
-	// Engine selects the rank-execution machinery; the zero value is the
-	// event-driven executor. Both engines produce bit-identical virtual
-	// results.
-	Engine Engine
-	// Workers, when positive, fixes the event engine's run-slot count
-	// instead of drawing one base slot plus budget extras. It bounds host
-	// concurrency only; virtual results are unaffected. Ignored by the
-	// goroutine engine.
+	// Workers, when positive, fixes the executor's run-slot count instead
+	// of drawing one base slot plus budget extras. It bounds host
+	// concurrency only; virtual results are unaffected.
 	Workers int
 	// MaxExchangeBytes is the per-rank staging budget for redistribution
 	// exchanges in bytes: planners in internal/redist decompose any exchange
@@ -520,9 +421,9 @@ type Stats struct {
 	// phase, collective, barrier, counter/gauge — and, when Config.Trace
 	// is set, message — events.
 	Events *obs.Log
-	// Exec holds the event engine's host-side execution meters (nil under
-	// the goroutine engine). Host-domain only: these values depend on the
-	// host's scheduling and must never feed golden exports.
+	// Exec holds the executor's host-side execution meters. Host-domain
+	// only: these values depend on the host's scheduling and must never
+	// feed golden exports.
 	Exec *ExecStats
 }
 
@@ -624,8 +525,8 @@ func (rt *Runtime) newInstance(id, node int, admit float64, joinEpoch int) *rank
 	}
 }
 
-// Run executes f on a virtual machine described by cfg, one goroutine per
-// rank, and returns aggregated statistics. It panics if the configuration is
+// Run executes f on a virtual machine described by cfg, one executor task
+// per rank, and returns aggregated statistics. It panics if the configuration is
 // invalid (e.g. a torus model that cannot cover the rank count).
 func Run(cfg Config, f func(c *Comm)) *Stats {
 	n := cfg.Ranks
@@ -660,7 +561,6 @@ func Run(cfg Config, f func(c *Comm)) *Stats {
 		maxExchangeBytes: cfg.MaxExchangeBytes,
 		traceMsgs:        cfg.Trace,
 		f:                f,
-		engine:           cfg.Engine,
 	}
 	// Wall-clock stamps are injected here so the obs package itself never
 	// reads the clock (it is part of the determinism-analyzer hot set);
@@ -689,11 +589,7 @@ func Run(cfg Config, f func(c *Comm)) *Stats {
 	}
 	rt.world = w
 	rt.deadlock.admit(n)
-	if cfg.Engine == EngineGoroutine {
-		runGoroutine(rt, n)
-	} else {
-		runEvent(rt, cfg, n)
-	}
+	runEvent(rt, cfg, n)
 	final := rt.currentWorld()
 	total := len(final.insts)
 	st := &Stats{
@@ -729,50 +625,6 @@ func Run(cfg Config, f func(c *Comm)) *Stats {
 	return st
 }
 
-// launchRank starts one rank goroutine on the legacy machine. Rank panics
-// (including the deadlock detector's) are forwarded to the panic channel
-// so Run can re-raise them in the caller's goroutine.
-func (rt *Runtime) launchRank(c *Comm) {
-	rt.goWG.Add(1)
-	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				select {
-				case rt.goPanic <- p:
-				default:
-				}
-				return // leave goWG incomplete; Run returns via goPanic
-			}
-			rt.goWG.Done()
-		}()
-		rt.f(c)
-		// In the body, not the defer: noteFinished may deliver the deadlock
-		// verdict by panicking, which must reach the recover above.
-		rt.noteFinished()
-	}()
-}
-
-// runGoroutine executes the ranks on the legacy machine: one free-running
-// goroutine per rank, woken by mailbox condition broadcasts.
-func runGoroutine(rt *Runtime, n int) {
-	rt.goWG = &sync.WaitGroup{}
-	rt.goPanic = make(chan any, 1)
-	w := rt.currentWorld()
-	for i := 0; i < n; i++ {
-		rt.launchRank(w.insts[i].comm)
-	}
-	done := make(chan struct{})
-	go func() {
-		rt.goWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case p := <-rt.goPanic:
-		panic(p)
-	}
-}
-
 func identity(n int) []int {
 	m := make([]int, n)
 	for i := range m {
@@ -782,8 +634,7 @@ func identity(n int) []int {
 }
 
 // Comm is a communicator: a group of ranks that exchange messages. Each rank
-// holds its own Comm value; a Comm must only be used by the goroutine of its
-// rank. All communicators of one rank share the rank's virtual clock and
+// holds its own Comm value; a Comm must only be used by its own rank. All communicators of one rank share the rank's virtual clock and
 // phase timers.
 type Comm struct {
 	rt      *Runtime

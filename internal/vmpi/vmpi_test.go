@@ -658,23 +658,6 @@ func TestSendrecvReplace(t *testing.T) {
 	})
 }
 
-func TestDeadlockDetection(t *testing.T) {
-	// Two ranks each waiting for the other without anyone sending: the
-	// runtime must panic with a diagnostic instead of hanging.
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected deadlock panic")
-		}
-		if msg, ok := r.(string); !ok || !containsStr(msg, "deadlock") {
-			t.Fatalf("unexpected panic value: %v", r)
-		}
-	}()
-	Run(Config{Ranks: 2}, func(c *Comm) {
-		Recv[int](c, 1-c.Rank(), 99) // nobody ever sends
-	})
-}
-
 func TestNoFalseDeadlockWhenRanksFinish(t *testing.T) {
 	// One rank finishes early while others communicate: no false positive.
 	st := Run(Config{Ranks: 3}, func(c *Comm) {
@@ -692,13 +675,4 @@ func TestNoFalseDeadlockWhenRanksFinish(t *testing.T) {
 	if st == nil {
 		t.Fatal("run failed")
 	}
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }

@@ -14,7 +14,7 @@ import (
 // deadlock (all-parked verdict) or hangs. The workload below drives all
 // three flush edges at once, at slot counts from fully serialized to wider
 // than the hot rank set, and the virtual clocks must still match the
-// goroutine engine's exactly.
+// fully serialized Workers: 1 run exactly.
 func TestBatchedWakeStress(t *testing.T) {
 	// More destinations than wakeBatchMax so the hub's scatter crosses the
 	// flush-on-full edge mid-loop.
@@ -67,14 +67,17 @@ func TestBatchedWakeStress(t *testing.T) {
 		}
 	}
 
-	ref := Run(Config{Ranks: ranks, Engine: EngineGoroutine}, workload)
+	var ref *Stats // the Workers: 1 run
 	for _, w := range []int{1, 2, 8} {
-		st := Run(Config{Ranks: ranks, Engine: EngineEvent, Workers: w}, workload)
+		st := Run(Config{Ranks: ranks, Workers: w}, workload)
+		if ref == nil {
+			ref = st
+		}
 		if !reflect.DeepEqual(st.Clocks, ref.Clocks) {
-			t.Fatalf("workers=%d: clocks diverge from goroutine engine", w)
+			t.Fatalf("workers=%d: clocks diverge from the Workers: 1 run", w)
 		}
 		if !reflect.DeepEqual(st.Values, ref.Values) {
-			t.Fatalf("workers=%d: results diverge from goroutine engine", w)
+			t.Fatalf("workers=%d: results diverge from the Workers: 1 run", w)
 		}
 		if st.Exec.MaxSlots > w {
 			t.Fatalf("workers=%d: MaxSlots %d exceeds the fixed bound", w, st.Exec.MaxSlots)
