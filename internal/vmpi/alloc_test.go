@@ -50,17 +50,19 @@ func allocHarness(t *testing.T, iters int, body func(c *Comm), echo func(c *Comm
 // TestSendrecvValAllocs pins the inline single-value exchange — the
 // merge-exchange negotiation hot path — at zero allocations per op.
 func TestSendrecvValAllocs(t *testing.T) {
-	exchange := func(c *Comm) {
-		partner := 1 - c.Rank()
-		v := SendrecvVal(c, int64(c.Rank()), partner, partner, 7)
-		if v != int64(partner) {
-			panic("wrong value")
+	onExecutor(t, func(t *testing.T) {
+		exchange := func(c *Comm) {
+			partner := 1 - c.Rank()
+			v := SendrecvVal(c, int64(c.Rank()), partner, partner, 7)
+			if v != int64(partner) {
+				panic("wrong value")
+			}
 		}
-	}
-	allocs := allocHarness(t, 100, exchange, exchange)
-	if allocs > 0 {
-		t.Errorf("SendrecvVal allocated %.2f objects per op, want 0", allocs)
-	}
+		allocs := allocHarness(t, 100, exchange, exchange)
+		if allocs > 0 {
+			t.Errorf("SendrecvVal allocated %.2f objects per op, want 0", allocs)
+		}
+	})
 }
 
 // TestInlineSendRecvAllocs pins the inline slice path: Send stays

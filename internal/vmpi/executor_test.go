@@ -108,59 +108,71 @@ func TestWorkersVirtualEquivalence(t *testing.T) {
 	}
 }
 
-// TestSelfSend checks a rank sending to itself: the delivery deposits a
-// wake token on the running receiver itself.
-func TestSelfSend(t *testing.T) {
-	st := Run(Config{Ranks: 3}, func(c *Comm) {
-		me := c.Rank()
-		Send(c, []int{me * 10}, me, 5)
-		Send(c, []int{me*10 + 1}, me, 5)
-		a := Recv[int](c, me, 5)
-		b := Recv[int](c, me, 5)
-		if a[0] != me*10 || b[0] != me*10+1 {
-			panic(fmt.Sprintf("self-send order broken: %v %v", a, b))
-		}
-		c.SetResult(a[0] + b[0])
-	})
-	for r, v := range st.Values {
-		if v.(int) != r*20+1 {
-			t.Fatalf("rank %d result %v", r, v)
-		}
-	}
+// onExecutor runs f as the subtest "event", named after the event-driven
+// executor that runs every vmpi rank. Tests that once ran under each of
+// two rank-execution engines keep their test ids through it.
+func onExecutor(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	t.Run("event", f)
 }
 
-// TestZeroByteMessages checks zero-length payloads flow, match, and cost
-// only latency, identically at one and at the default run-slot count.
-func TestZeroByteMessages(t *testing.T) {
-	var clocks [][]float64
-	for _, w := range []int{1, 0} {
-		st := Run(Config{Ranks: 4, Workers: w}, func(c *Comm) {
+// TestSelfSendBothEngines checks a rank sending to itself: the delivery
+// deposits a wake token on the running receiver itself.
+func TestSelfSendBothEngines(t *testing.T) {
+	onExecutor(t, func(t *testing.T) {
+		st := Run(Config{Ranks: 3}, func(c *Comm) {
 			me := c.Rank()
-			p := c.Size()
-			// Empty payloads through p2p and a collective.
-			got := Sendrecv(c, []byte{}, (me+1)%p, (me-1+p)%p, 3)
-			if len(got) != 0 {
-				panic("zero-byte payload grew")
+			Send(c, []int{me * 10}, me, 5)
+			Send(c, []int{me*10 + 1}, me, 5)
+			a := Recv[int](c, me, 5)
+			b := Recv[int](c, me, 5)
+			if a[0] != me*10 || b[0] != me*10+1 {
+				panic(fmt.Sprintf("self-send order broken: %v %v", a, b))
 			}
-			empty := Alltoall(c, make([][]byte, p))
-			for _, b := range empty {
-				if len(b) != 0 {
-					panic("zero-byte alltoall grew")
-				}
-			}
-			Barrier(c)
+			c.SetResult(a[0] + b[0])
 		})
-		if st.TotalBytes() != 0 {
-			t.Fatalf("workers=%d: zero-byte run sent %d bytes", w, st.TotalBytes())
+		for r, v := range st.Values {
+			if v.(int) != r*20+1 {
+				t.Fatalf("rank %d result %v", r, v)
+			}
 		}
-		if st.MaxClock() <= 0 {
-			t.Fatalf("workers=%d: zero-byte messages should still cost latency", w)
+	})
+}
+
+// TestZeroByteBothEngines checks zero-length payloads flow, match, and cost
+// only latency, identically at one and at the default run-slot count.
+func TestZeroByteBothEngines(t *testing.T) {
+	onExecutor(t, func(t *testing.T) {
+		var clocks [][]float64
+		for _, w := range []int{1, 0} {
+			st := Run(Config{Ranks: 4, Workers: w}, func(c *Comm) {
+				me := c.Rank()
+				p := c.Size()
+				// Empty payloads through p2p and a collective.
+				got := Sendrecv(c, []byte{}, (me+1)%p, (me-1+p)%p, 3)
+				if len(got) != 0 {
+					panic("zero-byte payload grew")
+				}
+				empty := Alltoall(c, make([][]byte, p))
+				for _, b := range empty {
+					if len(b) != 0 {
+						panic("zero-byte alltoall grew")
+					}
+				}
+				Barrier(c)
+			})
+			if st.TotalBytes() != 0 {
+				t.Fatalf("workers=%d: zero-byte run sent %d bytes", w, st.TotalBytes())
+			}
+			if st.MaxClock() <= 0 {
+				t.Fatalf("workers=%d: zero-byte messages should still cost latency", w)
+			}
+			clocks = append(clocks, st.Clocks)
 		}
-		clocks = append(clocks, st.Clocks)
-	}
-	if !reflect.DeepEqual(clocks[0], clocks[1]) {
-		t.Fatalf("zero-byte clocks differ across run-slot counts")
-	}
+		if !reflect.DeepEqual(clocks[0], clocks[1]) {
+			t.Fatalf("zero-byte clocks differ across run-slot counts")
+		}
+	})
 }
 
 // TestDeadlockDump checks the executor panics — rather than hangs — with a

@@ -20,32 +20,34 @@ func queueKeys(c *Comm) int {
 }
 
 func TestMailboxPrunesDrainedKeys(t *testing.T) {
-	Run(Config{Ranks: 2}, func(c *Comm) {
-		// Churn through communicator contexts: each Dup is a fresh
-		// ctx, each round sends on distinct tags.
-		const rounds, tags = 8, 16
-		for round := 0; round < rounds; round++ {
-			d := c.Dup()
-			if c.Rank() == 0 {
-				for tag := 0; tag < tags; tag++ {
-					Send(d, []int{round, tag}, 1, tag)
-				}
-			} else {
-				for tag := 0; tag < tags; tag++ {
-					got := Recv[int](d, 0, tag)
-					if got[0] != round || got[1] != tag {
-						panic(fmt.Sprintf("bad payload %v", got))
+	onExecutor(t, func(t *testing.T) {
+		Run(Config{Ranks: 2}, func(c *Comm) {
+			// Churn through communicator contexts: each Dup is a fresh
+			// ctx, each round sends on distinct tags.
+			const rounds, tags = 8, 16
+			for round := 0; round < rounds; round++ {
+				d := c.Dup()
+				if c.Rank() == 0 {
+					for tag := 0; tag < tags; tag++ {
+						Send(d, []int{round, tag}, 1, tag)
+					}
+				} else {
+					for tag := 0; tag < tags; tag++ {
+						got := Recv[int](d, 0, tag)
+						if got[0] != round || got[1] != tag {
+							panic(fmt.Sprintf("bad payload %v", got))
+						}
 					}
 				}
+				Barrier(c)
 			}
-			Barrier(c)
-		}
-		// Every fifo drained, so every key must be gone; without
-		// pruning rank 1 would hold rounds*tags dead entries (plus
-		// the collectives' keys).
-		if n := queueKeys(c); n != 0 {
-			panic(fmt.Sprintf("rank %d holds %d dead mailbox keys", c.Rank(), n))
-		}
+			// Every fifo drained, so every key must be gone; without
+			// pruning rank 1 would hold rounds*tags dead entries (plus
+			// the collectives' keys).
+			if n := queueKeys(c); n != 0 {
+				panic(fmt.Sprintf("rank %d holds %d dead mailbox keys", c.Rank(), n))
+			}
+		})
 	})
 }
 

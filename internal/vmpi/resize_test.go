@@ -35,86 +35,92 @@ func resizeBody(schedule []int, record func(c *Comm, stage int, sum int64)) func
 }
 
 func TestResizeShrink(t *testing.T) {
-	st := Run(Config{Ranks: 8}, resizeBody([]int{4}, nil))
-	if st.Epochs != 2 || st.FinalSize != 4 {
-		t.Fatalf("epochs %d finalSize %d, want 2 and 4", st.Epochs, st.FinalSize)
-	}
-	if len(st.Clocks) != 8 {
-		t.Fatalf("got %d instances, want 8", len(st.Clocks))
-	}
-	for i := 0; i < 8; i++ {
-		retired := i >= 4
-		if got := st.Retire[i] >= 0; got != retired {
-			t.Errorf("instance %d: retire time %g, retired=%v", i, st.Retire[i], retired)
+	onExecutor(t, func(t *testing.T) {
+		st := Run(Config{Ranks: 8}, resizeBody([]int{4}, nil))
+		if st.Epochs != 2 || st.FinalSize != 4 {
+			t.Fatalf("epochs %d finalSize %d, want 2 and 4", st.Epochs, st.FinalSize)
 		}
-		if retired && st.Values[i] != nil {
-			t.Errorf("retired instance %d has a result", i)
+		if len(st.Clocks) != 8 {
+			t.Fatalf("got %d instances, want 8", len(st.Clocks))
 		}
-	}
-	// The survivors' final stage is an allreduce over the 4-rank
-	// world: 0+1+2+3.
-	for i := 0; i < 4; i++ {
-		if st.Values[i] != int64(6) {
-			t.Errorf("survivor %d result %v, want 6", i, st.Values[i])
+		for i := 0; i < 8; i++ {
+			retired := i >= 4
+			if got := st.Retire[i] >= 0; got != retired {
+				t.Errorf("instance %d: retire time %g, retired=%v", i, st.Retire[i], retired)
+			}
+			if retired && st.Values[i] != nil {
+				t.Errorf("retired instance %d has a result", i)
+			}
 		}
-	}
+		// The survivors' final stage is an allreduce over the 4-rank
+		// world: 0+1+2+3.
+		for i := 0; i < 4; i++ {
+			if st.Values[i] != int64(6) {
+				t.Errorf("survivor %d result %v, want 6", i, st.Values[i])
+			}
+		}
+	})
 }
 
 func TestResizeGrow(t *testing.T) {
-	st := Run(Config{Ranks: 4, MaxRanks: 8}, resizeBody([]int{8}, nil))
-	if st.Epochs != 2 || st.FinalSize != 8 {
-		t.Fatalf("epochs %d finalSize %d, want 2 and 8", st.Epochs, st.FinalSize)
-	}
-	if len(st.Clocks) != 8 {
-		t.Fatalf("got %d instances, want 8", len(st.Clocks))
-	}
-	for i := 4; i < 8; i++ {
-		if st.JoinEpoch[i] != 1 {
-			t.Errorf("admitted instance %d joinEpoch %d, want 1", i, st.JoinEpoch[i])
+	onExecutor(t, func(t *testing.T) {
+		st := Run(Config{Ranks: 4, MaxRanks: 8}, resizeBody([]int{8}, nil))
+		if st.Epochs != 2 || st.FinalSize != 8 {
+			t.Fatalf("epochs %d finalSize %d, want 2 and 8", st.Epochs, st.FinalSize)
 		}
-		if st.Admit[i] <= 0 {
-			t.Errorf("admitted instance %d admit time %g, want > 0", i, st.Admit[i])
+		if len(st.Clocks) != 8 {
+			t.Fatalf("got %d instances, want 8", len(st.Clocks))
 		}
-	}
-	// Every final rank computed the 8-rank allreduce: 0+..+7.
-	for i := 0; i < 8; i++ {
-		if st.Values[i] != int64(28) {
-			t.Errorf("instance %d result %v, want 28", i, st.Values[i])
+		for i := 4; i < 8; i++ {
+			if st.JoinEpoch[i] != 1 {
+				t.Errorf("admitted instance %d joinEpoch %d, want 1", i, st.JoinEpoch[i])
+			}
+			if st.Admit[i] <= 0 {
+				t.Errorf("admitted instance %d admit time %g, want > 0", i, st.Admit[i])
+			}
 		}
-	}
+		// Every final rank computed the 8-rank allreduce: 0+..+7.
+		for i := 0; i < 8; i++ {
+			if st.Values[i] != int64(28) {
+				t.Errorf("instance %d result %v, want 28", i, st.Values[i])
+			}
+		}
+	})
 }
 
 func TestResizeGrowShrinkCycle(t *testing.T) {
-	// 8 -> 4 -> 8 -> 2: the regrow admits fresh instances (ids 8..11) on
-	// the freed node positions; the final shrink retires everyone above
-	// rank 1.
-	st := Run(Config{Ranks: 8, MaxRanks: 8},
-		resizeBody([]int{4, 8, 2}, nil))
-	if st.Epochs != 4 || st.FinalSize != 2 {
-		t.Fatalf("epochs %d finalSize %d, want 4 and 2", st.Epochs, st.FinalSize)
-	}
-	if len(st.Clocks) != 12 {
-		t.Fatalf("got %d instances, want 12 (8 founders + 4 regrown)", len(st.Clocks))
-	}
-	for i, wantJoin := range []int{0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 2} {
-		if st.JoinEpoch[i] != wantJoin {
-			t.Errorf("instance %d joinEpoch %d, want %d", i, st.JoinEpoch[i], wantJoin)
+	onExecutor(t, func(t *testing.T) {
+		// 8 -> 4 -> 8 -> 2: the regrow admits fresh instances (ids 8..11) on
+		// the freed node positions; the final shrink retires everyone above
+		// rank 1.
+		st := Run(Config{Ranks: 8, MaxRanks: 8},
+			resizeBody([]int{4, 8, 2}, nil))
+		if st.Epochs != 4 || st.FinalSize != 2 {
+			t.Fatalf("epochs %d finalSize %d, want 4 and 2", st.Epochs, st.FinalSize)
 		}
-	}
-	// Final world is instances {0, 1}; everyone else retired.
-	for i := 0; i < 12; i++ {
-		if (st.Retire[i] >= 0) != (i >= 2) {
-			t.Errorf("instance %d retire %g, want retired=%v", i, st.Retire[i], i >= 2)
+		if len(st.Clocks) != 12 {
+			t.Fatalf("got %d instances, want 12 (8 founders + 4 regrown)", len(st.Clocks))
 		}
-	}
-	for i := 0; i < 2; i++ {
-		if st.Values[i] != int64(1) {
-			t.Errorf("final rank %d result %v, want 1", i, st.Values[i])
+		for i, wantJoin := range []int{0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 2} {
+			if st.JoinEpoch[i] != wantJoin {
+				t.Errorf("instance %d joinEpoch %d, want %d", i, st.JoinEpoch[i], wantJoin)
+			}
 		}
-	}
-	if ns := st.NodeSeconds(); ns <= 0 {
-		t.Errorf("NodeSeconds %g, want > 0", ns)
-	}
+		// Final world is instances {0, 1}; everyone else retired.
+		for i := 0; i < 12; i++ {
+			if (st.Retire[i] >= 0) != (i >= 2) {
+				t.Errorf("instance %d retire %g, want retired=%v", i, st.Retire[i], i >= 2)
+			}
+		}
+		for i := 0; i < 2; i++ {
+			if st.Values[i] != int64(1) {
+				t.Errorf("final rank %d result %v, want 1", i, st.Values[i])
+			}
+		}
+		if ns := st.NodeSeconds(); ns <= 0 {
+			t.Errorf("NodeSeconds %g, want > 0", ns)
+		}
+	})
 }
 
 func TestResizeDeterminism(t *testing.T) {
@@ -169,44 +175,48 @@ func TestResizeSameSizeBumpsEpoch(t *testing.T) {
 // TestResizeSplitAfter checks that Split works on a post-resize world and
 // that survivor/newcomer split contexts agree (splitSeq is reset).
 func TestResizeSplitAfter(t *testing.T) {
-	st := Run(Config{Ranks: 2, MaxRanks: 4}, func(c *Comm) {
-		if c.JoinEpoch() == 0 {
-			// Founders burn a split before the resize; the admitted
-			// ranks never see it.
-			sub := c.Split(0, c.Rank())
-			AllreduceVal(sub, 1, Sum[int])
-			c = Resize(c, 4)
+	onExecutor(t, func(t *testing.T) {
+		st := Run(Config{Ranks: 2, MaxRanks: 4}, func(c *Comm) {
+			if c.JoinEpoch() == 0 {
+				// Founders burn a split before the resize; the admitted
+				// ranks never see it.
+				sub := c.Split(0, c.Rank())
+				AllreduceVal(sub, 1, Sum[int])
+				c = Resize(c, 4)
+			}
+			sub := c.Split(c.Rank()%2, c.Rank())
+			v := AllreduceVal(sub, int64(1), Sum[int64])
+			c.SetResult(v)
+		})
+		for i, v := range st.Values {
+			if v != int64(2) {
+				t.Errorf("instance %d split sum %v, want 2", i, v)
+			}
 		}
-		sub := c.Split(c.Rank()%2, c.Rank())
-		v := AllreduceVal(sub, int64(1), Sum[int64])
-		c.SetResult(v)
 	})
-	for i, v := range st.Values {
-		if v != int64(2) {
-			t.Errorf("instance %d split sum %v, want 2", i, v)
-		}
-	}
 }
 
 // TestResizeDeadlockAfterShrink checks the detector stays exact once ranks
 // have retired: the survivors deadlock and the dump names only them.
 func TestResizeDeadlockAfterShrink(t *testing.T) {
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("expected deadlock panic")
-		}
-		msg, ok := p.(string)
-		if !ok || !strings.Contains(msg, "deadlock") {
-			t.Fatalf("unexpected panic: %v", p)
-		}
-	}()
-	Run(Config{Ranks: 4}, func(c *Comm) {
-		c = Resize(c, 2)
-		if c == nil {
-			return
-		}
-		Recv[int](c, (c.Rank()+1)%2, 99) // nobody sends
+	onExecutor(t, func(t *testing.T) {
+		defer func() {
+			p := recover()
+			if p == nil {
+				t.Fatal("expected deadlock panic")
+			}
+			msg, ok := p.(string)
+			if !ok || !strings.Contains(msg, "deadlock") {
+				t.Fatalf("unexpected panic: %v", p)
+			}
+		}()
+		Run(Config{Ranks: 4}, func(c *Comm) {
+			c = Resize(c, 2)
+			if c == nil {
+				return
+			}
+			Recv[int](c, (c.Rank()+1)%2, 99) // nobody sends
+		})
 	})
 }
 
