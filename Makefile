@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-fig10 bench-mem vet lint debugtest golden golden-update golden-par fig10 golden-bigp golden-bigp-update golden-resize golden-resize-update golden-mem golden-mem-update check
+.PHONY: all build test race bench bench-figs bench-bigp bench-figmem vet lint debugtest golden golden-update golden-par fig10 golden-bigp golden-bigp-update golden-resize golden-resize-update golden-mem golden-mem-update check
 
 all: build
 
@@ -27,9 +27,11 @@ bench:
 # Regenerates the wall-clock + virtual-seconds report for Figures 6-9 and
 # prints (and checks in) the delta against the BENCH_1.json baseline taken
 # before the kernel plan caches and the experiment scheduler. Virtual
-# seconds must not move; wall-clock is the host-performance result.
-bench-json:
-	$(GO) run ./cmd/paperbench -bench-json BENCH_2.json -bench-baseline BENCH_1.json | tee BENCH_DELTA.txt
+# seconds must not move (paperbench exits 1 if one does, after the delta
+# is printed); wall-clock is the host-performance result.
+bench-figs:
+	$(GO) run ./cmd/paperbench -fig all -bench BENCH_2.json -bench-baseline BENCH_1.json > BENCH_DELTA.txt; \
+		status=$$?; cat BENCH_DELTA.txt; exit $$status
 
 # Figure 10 extends the strategy comparison to the paper's machine sizes
 # (64 ... 16384 ranks) on the event-driven rank executor; the full sweep
@@ -40,10 +42,12 @@ fig10:
 # Writes the per-rank-count benchmark report (wall clock, post-run memory,
 # executor meters) for the Figure 10 sweep and prints (and checks in) the
 # rank_rows delta against BENCH_3.json — the large-P host-performance
-# baseline taken before the §15 fast path. Virtual seconds must not move;
-# wall clock and heap are the host-performance result.
-bench-fig10:
-	$(GO) run ./cmd/paperbench -bench-fig10 BENCH_5.json -bench-baseline BENCH_3.json | tee BENCH_5_DELTA.txt
+# baseline taken before the §15 fast path. Virtual seconds must not move
+# (paperbench exits 1 if one does); wall clock and heap are the
+# host-performance result.
+bench-bigp:
+	$(GO) run ./cmd/paperbench -fig 10 -bench BENCH_5.json -bench-baseline BENCH_3.json > BENCH_5_DELTA.txt; \
+		status=$$?; cat BENCH_5_DELTA.txt; exit $$status
 
 vet:
 	$(GO) vet ./...
@@ -65,8 +69,9 @@ debugtest:
 # Any divergence — a changed virtual time anywhere in Figures 6-9 — fails.
 # To accept an intentional change: make golden-update, then review the diff.
 # The same invocation exports the canonical observability run (the Fig. 9
-# torus steady state) as a Chrome trace timeline and a metrics dump; the
-# export notices go to stderr, so stdout stays byte-stable.
+# torus steady state) as a Chrome trace timeline and a metrics dump, which
+# are byte-diffed against the checked-in obs_trace.json/obs_metrics.txt;
+# the export notices go to stderr, so stdout stays byte-stable.
 #
 # JOBS is the experiment scheduler's worker count (paperbench -j). The
 # figure bytes are identical at any value — golden-par proves it by
@@ -76,16 +81,19 @@ JOBS ?= 8
 
 golden:
 	$(GO) run ./cmd/paperbench -fig all -particles 6000 -ranks 8 -ranks-list 2,4,8,16 -j $(JOBS) \
-		-trace-out obs_trace.json -metrics-out obs_metrics.txt > paperbench_output.got.txt
+		-trace-out obs_trace.got.json -metrics-out obs_metrics.got.txt > paperbench_output.got.txt
 	diff -u paperbench_output.txt paperbench_output.got.txt
-	rm -f paperbench_output.got.txt
+	diff -u obs_trace.json obs_trace.got.json
+	diff -u obs_metrics.txt obs_metrics.got.txt
+	rm -f paperbench_output.got.txt obs_trace.got.json obs_metrics.got.txt
 
 golden-update:
-	$(GO) run ./cmd/paperbench -fig all -particles 6000 -ranks 8 -ranks-list 2,4,8,16 -j $(JOBS) > paperbench_output.txt
+	$(GO) run ./cmd/paperbench -fig all -particles 6000 -ranks 8 -ranks-list 2,4,8,16 -j $(JOBS) \
+		-trace-out obs_trace.json -metrics-out obs_metrics.txt > paperbench_output.txt
 
 # Serial-vs-parallel byte identity: the canonical invocation at -j 1 and
 # -j 8 must produce identical stdout, trace, and metrics bytes (and match
-# the checked-in baseline).
+# the checked-in baselines).
 golden-par:
 	$(GO) run ./cmd/paperbench -fig all -particles 6000 -ranks 8 -ranks-list 2,4,8,16 -j 1 \
 		-trace-out obs_trace.j1.json -metrics-out obs_metrics.j1.txt > paperbench_output.j1.txt
@@ -95,6 +103,8 @@ golden-par:
 	diff -u obs_trace.j1.json obs_trace.j8.json
 	diff -u obs_metrics.j1.txt obs_metrics.j8.txt
 	diff -u paperbench_output.txt paperbench_output.j1.txt
+	diff -u obs_trace.json obs_trace.j1.json
+	diff -u obs_metrics.txt obs_metrics.j1.txt
 	rm -f paperbench_output.j1.txt paperbench_output.j8.txt \
 		obs_trace.j1.json obs_trace.j8.json obs_metrics.j1.txt obs_metrics.j8.txt
 
@@ -119,43 +129,53 @@ golden-bigp-update:
 # models) must stay byte-identical to the checked-in baseline. The same
 # invocation exports the elastic grow leg's Chrome trace and metrics dump,
 # which carry the resize epochs (vmpi/resize and elastic/remap spans,
-# resize counter, world-size gauge). The second run pins the executor to
+# resize counter, world-size gauge) and are byte-diffed against the
+# checked-in obs_resize_trace.json/obs_resize_metrics.txt. The second run pins the executor to
 # one run slot (fully serialized ranks): figure bytes must not depend on
 # the worker count.
 golden-resize:
 	$(GO) run ./cmd/paperbench -fig resize -j $(JOBS) \
-		-trace-out obs_resize_trace.json -metrics-out obs_resize_metrics.txt \
+		-trace-out obs_resize_trace.got.json -metrics-out obs_resize_metrics.got.txt \
 		> paperbench_resize.got.txt
 	diff -u paperbench_resize.txt paperbench_resize.got.txt
+	diff -u obs_resize_trace.json obs_resize_trace.got.json
+	diff -u obs_resize_metrics.txt obs_resize_metrics.got.txt
 	$(GO) run ./cmd/paperbench -fig resize -j $(JOBS) -workers 1 > paperbench_resize.w1.txt
 	diff -u paperbench_resize.txt paperbench_resize.w1.txt
-	rm -f paperbench_resize.got.txt paperbench_resize.w1.txt
+	rm -f paperbench_resize.got.txt paperbench_resize.w1.txt \
+		obs_resize_trace.got.json obs_resize_metrics.got.txt
 
 golden-resize-update:
-	$(GO) run ./cmd/paperbench -fig resize -j $(JOBS) > paperbench_resize.txt
+	$(GO) run ./cmd/paperbench -fig resize -j $(JOBS) \
+		-trace-out obs_resize_trace.json -metrics-out obs_resize_metrics.txt > paperbench_resize.txt
 
 # Memory-budget golden: Figure M (the unbounded exchange exhausting the
 # staging budget vs the redist planner's bounded rounds, plus the three
 # sort strategies under the same budget, both machine models) must stay
 # byte-identical to the checked-in baseline. The same invocation exports
 # the planned exchange's Chrome trace and metrics dump, which carry the
-# redist/peak_bytes gauge and counter. The second run pins the executor to
+# redist/peak_bytes gauge and counter and are byte-diffed against the
+# checked-in obs_mem_trace.json/obs_mem_metrics.txt. The second run pins the executor to
 # one run slot: figure bytes must not depend on the worker count.
 golden-mem:
 	$(GO) run ./cmd/paperbench -fig mem -j $(JOBS) \
-		-trace-out obs_mem_trace.json -metrics-out obs_mem_metrics.txt \
+		-trace-out obs_mem_trace.got.json -metrics-out obs_mem_metrics.got.txt \
 		> paperbench_mem.got.txt
 	diff -u paperbench_mem.txt paperbench_mem.got.txt
+	diff -u obs_mem_trace.json obs_mem_trace.got.json
+	diff -u obs_mem_metrics.txt obs_mem_metrics.got.txt
 	$(GO) run ./cmd/paperbench -fig mem -j $(JOBS) -workers 1 > paperbench_mem.w1.txt
 	diff -u paperbench_mem.txt paperbench_mem.w1.txt
-	rm -f paperbench_mem.got.txt paperbench_mem.w1.txt
+	rm -f paperbench_mem.got.txt paperbench_mem.w1.txt \
+		obs_mem_trace.got.json obs_mem_metrics.got.txt
 
 golden-mem-update:
-	$(GO) run ./cmd/paperbench -fig mem -j $(JOBS) > paperbench_mem.txt
+	$(GO) run ./cmd/paperbench -fig mem -j $(JOBS) \
+		-trace-out obs_mem_trace.json -metrics-out obs_mem_metrics.txt > paperbench_mem.txt
 
 # Writes the Figure M benchmark report (memory-budget strategies, both
 # machine models: virtual times, metered staging peaks, wall clock).
-bench-mem:
-	$(GO) run ./cmd/paperbench -bench-mem BENCH_4.json
+bench-figmem:
+	$(GO) run ./cmd/paperbench -fig mem -bench BENCH_4.json
 
 check: build vet lint test debugtest race golden golden-bigp golden-resize golden-mem

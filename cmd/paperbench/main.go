@@ -1,7 +1,8 @@
 // Command paperbench regenerates the evaluation figures of Hofmann &
 // Rünger, "Efficient Data Redistribution Methods for Coupled Parallel
 // Particle Codes" (ICPP 2013): Figures 6–9, printed as text tables of
-// deterministic virtual seconds.
+// deterministic virtual seconds, plus this reproduction's Figures 10, R
+// (resize) and M (mem).
 //
 // Examples:
 //
@@ -12,31 +13,36 @@
 //	paperbench -fig all -j 8
 //	paperbench -fig 10
 //	paperbench -fig 10 -ranks-list 64,1024 -workers 1
-//	paperbench -bench-fig10 BENCH_5.json
-//	paperbench -bench-fig10 BENCH_5.json -bench-baseline BENCH_3.json
-//	paperbench -bench-json BENCH_1.json
-//	paperbench -bench-json BENCH_2.json -bench-baseline BENCH_1.json
+//	paperbench -fig all -bench BENCH_2.json -bench-baseline BENCH_1.json
+//	paperbench -fig 10 -bench BENCH_5.json -bench-baseline BENCH_3.json
+//	paperbench -fig mem -bench BENCH_4.json
 //	paperbench -fig all -trace-out trace.json -metrics-out metrics.txt
 //
-// With -bench-json, instead of printing tables the command runs all
-// figures and writes a JSON report pairing every figure's virtual-second
-// metrics with the host wall-clock time spent producing it (see
-// internal/benchjson). Virtual seconds are deterministic; wall-clock is
-// the host-performance regression baseline. Adding -bench-baseline prints
-// a delta report against a previously written JSON file.
+// Every -fig value is one entry of paperbench.Figures, which holds the
+// figure's default steps/dt/thermal, its panels and its observability run.
 //
-// -trace-out and -metrics-out additionally run the canonical
-// observability configuration (paperbench.ObsConfig: the Fig. 9 torus
-// steady state with message tracing) and export its event log as a Chrome
-// trace-event JSON timeline and a Prometheus-style metrics dump. Both
-// notices go to stderr, so figure output on stdout stays byte-stable.
+// With -bench, instead of printing tables the command times every panel of
+// the selected figures and writes a JSON report pairing its virtual
+// metrics with the host wall clock spent producing it (see
+// internal/benchjson); -steps, -dt, -thermal and -ranks-list apply as
+// when printing. Figure 10 is timed one rank count at a time, each with a
+// host row (wall clock, memory, executor meters). Virtual seconds are
+// deterministic; wall clock is the host-performance regression baseline.
+// -bench-baseline prints a delta report against a previously written
+// report and exits 1 if a virtual metric present in both changed, or if
+// the reports share no metric.
+//
+// -trace-out and -metrics-out additionally run the selected figure's
+// observability configuration and export its event log as a Chrome
+// trace-event JSON timeline and a Prometheus-style metrics dump. Figures
+// 6–10 share the canonical run (paperbench.ObsConfig: the Fig. 9 torus
+// steady state with message tracing). Both notices go to stderr, so
+// figure output on stdout stays byte-stable.
 //
 // -fig 10 is not part of -fig all: it is the large-P redistribution
 // strategy sweep (64 … 16384 virtual ranks by default, see EXPERIMENTS.md)
 // on the event-driven rank executor. -workers pins the executor's run-slot
-// count; output is byte-identical at any value. -bench-fig10 writes the
-// sweep's per-rank-count host report (wall clock, memory, executor
-// meters).
+// count; output is byte-identical at any value.
 //
 // -fig resize (also outside -fig all) is the elastic-worlds cost figure:
 // live vmpi.Resize with particle remapping versus static peak
@@ -50,9 +56,9 @@
 // fine-grained exchange whose classic single all-to-all stages four times
 // the configured budget, run unbounded (metered) and through the redist
 // planner's bounded rounds, next to the three sort strategies under the
-// same budget (see EXPERIMENTS.md). -bench-mem writes its benchmark
-// report; with -trace-out/-metrics-out the planned exchange's timeline
-// (redist/peak_bytes gauge and counter) is exported.
+// same budget (see EXPERIMENTS.md). With -trace-out/-metrics-out the
+// planned exchange's timeline (redist/peak_bytes gauge and counter) is
+// exported.
 //
 // -j sets how many experiments (virtual machine runs) execute concurrently
 // on the host (default: the core count). Every figure, trace, and metrics
@@ -85,14 +91,11 @@ func main() {
 		thermal   = flag.Float64("thermal", -1, "initial thermal velocity scale (-1 = figure-specific default)")
 		accuracy  = flag.Float64("accuracy", 1e-3, "requested solver accuracy")
 		seed      = flag.Int64("seed", 42, "particle system seed")
-		rankListF = flag.String("ranks-list", "2,4,8", "rank counts for the figure 9 and 10 sweeps (figure 10 defaults to 64,256,1024,4096,16384)")
-		benchJSON = flag.String("bench-json", "", "write a wall-clock + virtual-seconds benchmark report for all figures to this file and exit")
-		benchF10  = flag.String("bench-fig10", "", "write a figure 10 benchmark report (wall clock, memory, and executor meters per rank count) to this file and exit")
-		benchMem  = flag.String("bench-mem", "", "write a figure M benchmark report (memory-budget strategies on both machines) to this file and exit")
-		stepScale = flag.Float64("step-scale", 1, "scale factor on the per-figure default step counts in -bench-json mode")
-		benchBase = flag.String("bench-baseline", "", "with -bench-json or -bench-fig10: print a delta report against this baseline benchmark JSON")
-		traceOut  = flag.String("trace-out", "", "write a Chrome trace-event JSON of the canonical observability run to this file")
-		metricOut = flag.String("metrics-out", "", "write a Prometheus-style metrics dump of the canonical observability run to this file")
+		rankListF = flag.String("ranks-list", "", "rank counts for the figure 9 and 10 sweeps (default 2,4,8 for figure 9 and 64,256,1024,4096,16384 for figure 10)")
+		benchOut  = flag.String("bench", "", "instead of printing the selected figures, time them and write a wall-clock + virtual-metrics benchmark report to this file")
+		benchBase = flag.String("bench-baseline", "", "time the selected figures and print a delta report against this benchmark JSON; exit 1 if a virtual metric changed or none is in common")
+		traceOut  = flag.String("trace-out", "", "write a Chrome trace-event JSON of the selected figure's observability run to this file")
+		metricOut = flag.String("metrics-out", "", "write a Prometheus-style metrics dump of the selected figure's observability run to this file")
 		jobs      = flag.Int("j", runtime.NumCPU(), "concurrent experiment jobs (worker pool size; output is byte-identical at any value)")
 		workersF  = flag.Int("workers", 0, "executor run slots per experiment (0 = one slot plus host-budget extras; figure bytes are identical at any value)")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")
@@ -110,6 +113,24 @@ func main() {
 		fmt.Fprintf(os.Stderr, "paperbench: bad -workers %d: want 0 (executor default) or a positive run-slot count\n", *workersF)
 		os.Exit(2)
 	}
+	figs := paperbench.SelectFigures(*fig)
+	if figs == nil {
+		fmt.Fprintf(os.Stderr, "paperbench: unknown figure %q\n", *fig)
+		os.Exit(2)
+	}
+	o := paperbench.Options{Base: paperbench.DefaultConfig(), Steps: *steps, Dt: *dt, Thermal: *thermal}
+	o.Base.Particles = *particles
+	o.Base.Ranks = *ranks
+	o.Base.Accuracy = *accuracy
+	o.Base.Seed = *seed
+	if *rankListF != "" {
+		var err error
+		if o.Ranks, err = parseInts(*rankListF); err != nil {
+			fmt.Fprintf(os.Stderr, "paperbench: bad -ranks-list: %v\n", err)
+			os.Exit(2)
+		}
+	}
+
 	paperbench.SetJobs(*jobs)
 	paperbench.SetEngineWorkers(*workersF)
 	if *jobs > 1 {
@@ -118,186 +139,61 @@ func main() {
 		fmt.Fprintf(os.Stderr, "paperbench: scheduling experiments on %d workers\n", *jobs)
 	}
 
-	base := paperbench.DefaultConfig()
-	base.Particles = *particles
-	base.Ranks = *ranks
-	base.Accuracy = *accuracy
-	base.Seed = *seed
-
-	withDefaults := func(defSteps int, defDt, defThermal float64) paperbench.Config {
-		cfg := base
-		cfg.Steps = defSteps
-		cfg.Dt = defDt
-		cfg.Thermal = defThermal
-		if *steps > 0 {
-			cfg.Steps = *steps
+	ok := true
+	if *benchOut != "" || *benchBase != "" {
+		ok = bench(figs, o, *benchOut, *benchBase)
+	} else {
+		for _, f := range figs {
+			cfg, ranks := f.Setup(o)
+			for _, p := range f.Panels {
+				text, _ := p.Run(cfg, ranks)
+				fmt.Print(text)
+				fmt.Println()
+			}
 		}
-		if *dt > 0 {
-			cfg.Dt = *dt
-		}
-		if *thermal >= 0 {
-			cfg.Thermal = *thermal
-		}
-		return cfg
 	}
+	if *traceOut != "" || *metricOut != "" {
+		// Figures 6-10 share the canonical run (paperbench.ObsConfig); the
+		// resize and memory figures export their own timelines, where the
+		// resize epochs and the redist/peak_bytes meter are visible.
+		exportEventLog(*traceOut, *metricOut, figs[0].Obs())
+	}
+	if !ok {
+		os.Exit(1)
+	}
+}
 
-	rankList, err := parseInts(*rankListF)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "paperbench: bad -ranks-list: %v\n", err)
-		os.Exit(2)
-	}
-	rankListSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "ranks-list" {
-			rankListSet = true
+// bench times the figures, writes the report to out (when set) and prints
+// its delta against the baseline file (when set, read before the run so a
+// bad path fails fast). It reports false when a virtual metric moved
+// against the baseline or none was comparable.
+func bench(figs []*paperbench.Figure, o paperbench.Options, out, baseline string) bool {
+	var baseRep *benchjson.Report
+	if baseline != "" {
+		var err error
+		if baseRep, err = benchjson.ReadFile(baseline); err != nil {
+			fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
+			os.Exit(1)
 		}
-	})
-	// Figure 10 targets the paper's machine sizes; the small figure 9
-	// default would not show the scaling story.
-	fig10Ranks := rankList
-	if !rankListSet {
-		fig10Ranks = paperbench.Fig10DefaultRanks()
 	}
-
-	if *benchBase != "" && *benchJSON == "" && *benchF10 == "" {
-		fmt.Fprintln(os.Stderr, "paperbench: -bench-baseline requires -bench-json or -bench-fig10")
-		os.Exit(2)
-	}
-
-	if *benchF10 != "" {
-		rep := benchjson.CollectFig10(fig10Ranks)
-		if err := benchjson.WriteFile(rep, *benchF10); err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: writing %s: %v\n", *benchF10, err)
+	rep := benchjson.Collect(figs, o)
+	if out != "" {
+		if err := benchjson.WriteFile(rep, out); err != nil {
+			fmt.Fprintf(os.Stderr, "paperbench: writing %s: %v\n", out, err)
 			os.Exit(1)
 		}
 		wall := 0.0
 		for _, f := range rep.Figures {
 			wall += f.WallSeconds
 		}
-		fmt.Printf("wrote %s: %d figures, %.2fs wall clock total\n", *benchF10, len(rep.Figures), wall)
-		if *benchBase != "" {
-			baseRep, err := benchjson.ReadFile(*benchBase)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Print(benchjson.Diff(baseRep, rep).Format())
-		}
-		return
+		fmt.Printf("wrote %s: %d figures, %.2fs wall clock total\n", out, len(rep.Figures), wall)
 	}
-
-	if *benchMem != "" {
-		rep := benchjson.CollectMem()
-		if err := benchjson.WriteFile(rep, *benchMem); err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: writing %s: %v\n", *benchMem, err)
-			os.Exit(1)
-		}
-		wall := 0.0
-		for _, f := range rep.Figures {
-			wall += f.WallSeconds
-		}
-		fmt.Printf("wrote %s: %d figures, %.2fs wall clock total\n", *benchMem, len(rep.Figures), wall)
-		return
+	if baseRep == nil {
+		return true
 	}
-
-	if *benchJSON != "" {
-		rep := benchjson.Collect(base, rankList, *stepScale)
-		if err := benchjson.WriteFile(rep, *benchJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: writing %s: %v\n", *benchJSON, err)
-			os.Exit(1)
-		}
-		wall := 0.0
-		for _, f := range rep.Figures {
-			wall += f.WallSeconds
-		}
-		fmt.Printf("wrote %s: %d figures, %.2fs wall clock total\n", *benchJSON, len(rep.Figures), wall)
-		if *benchBase != "" {
-			baseRep, err := benchjson.ReadFile(*benchBase)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Print(benchjson.Diff(baseRep, rep).Format())
-		}
-		writeObsExports(*traceOut, *metricOut)
-		return
-	}
-
-	run := func(which string) {
-		switch which {
-		case "6":
-			cfg := withDefaults(0, 0.01, 0)
-			fmt.Print(paperbench.RenderFig6(paperbench.Fig6(cfg)))
-		case "7":
-			cfg := withDefaults(8, 0.01, 0)
-			fmt.Print(paperbench.RenderFig7(paperbench.Fig7(cfg)))
-		case "8":
-			cfg := withDefaults(60, 0.01, 2.5)
-			fmt.Print(paperbench.RenderFig8(paperbench.Fig8(cfg)))
-		case "9l":
-			cfg := withDefaults(25, 0.025, 2.5)
-			cfg.Machine = paperbench.JuRoPA()
-			pts := paperbench.Fig9(cfg, "fmm", rankList)
-			fmt.Print(paperbench.RenderFig9("fmm", cfg.Machine.Name, pts))
-		case "9r":
-			cfg := withDefaults(25, 0.025, 2.5)
-			cfg.Machine = paperbench.Juqueen()
-			pts := paperbench.Fig9(cfg, "p2nfft", rankList)
-			fmt.Print(paperbench.RenderFig9("p2nfft", cfg.Machine.Name, pts))
-		case "10":
-			for _, m := range []paperbench.Machine{paperbench.JuRoPA(), paperbench.Juqueen()} {
-				pts := paperbench.Fig10(m, fig10Ranks)
-				fmt.Print(paperbench.RenderFig10(m.Name, pts))
-				fmt.Println()
-			}
-			return
-		case "resize":
-			for _, m := range []paperbench.Machine{paperbench.JuRoPA(), paperbench.Juqueen()} {
-				pts := paperbench.FigResize(m)
-				fmt.Print(paperbench.RenderFigResize(m.Name, pts))
-				fmt.Println()
-			}
-			return
-		case "mem":
-			for _, m := range []paperbench.Machine{paperbench.JuRoPA(), paperbench.Juqueen()} {
-				rows := paperbench.FigMem(m)
-				fmt.Print(paperbench.RenderFigMem(m.Name, rows))
-				fmt.Println()
-			}
-			return
-		default:
-			fmt.Fprintf(os.Stderr, "paperbench: unknown figure %q\n", which)
-			os.Exit(2)
-		}
-		fmt.Println()
-	}
-
-	if *fig == "all" {
-		for _, f := range []string{"6", "7", "8", "9l", "9r"} {
-			run(f)
-		}
-		writeObsExports(*traceOut, *metricOut)
-		return
-	}
-	run(*fig)
-	if *fig == "resize" {
-		// The resize figure exports its own timeline: the elastic grow leg,
-		// whose vmpi/resize and elastic/remap spans, resize counter, and
-		// world-size gauge show the resize epochs in both exports.
-		if *traceOut != "" || *metricOut != "" {
-			exportEventLog(*traceOut, *metricOut, "elastic resize", paperbench.FigResizeObs())
-		}
-		return
-	}
-	if *fig == "mem" {
-		// The memory figure exports the planned exchange's own timeline,
-		// where the redist/peak_bytes gauge and counter are visible.
-		if *traceOut != "" || *metricOut != "" {
-			exportEventLog(*traceOut, *metricOut, "memory budget", paperbench.FigMemObs())
-		}
-		return
-	}
-	writeObsExports(*traceOut, *metricOut)
+	d := benchjson.Diff(baseRep, rep)
+	fmt.Print(d.Format())
+	return d.Compared > 0 && len(d.VSec) == 0
 }
 
 // startProfiles starts the requested pprof captures and returns the
@@ -348,24 +244,9 @@ func startProfiles(cpuPath, memPath string) func() {
 	}
 }
 
-// writeObsExports runs the canonical observability configuration once and
-// exports its event log. All notices go to stderr: stdout carries only the
-// figure tables, which the golden check diffs byte-for-byte.
-func writeObsExports(traceOut, metricsOut string) {
-	if traceOut == "" && metricsOut == "" {
-		return
-	}
-	res, err := paperbench.Run(paperbench.ObsConfig())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "paperbench: observability run: %v\n", err)
-		os.Exit(1)
-	}
-	exportEventLog(traceOut, metricsOut, "canonical run", res.Events)
-}
-
 // exportEventLog writes an event log as a Chrome trace and/or a metrics
 // dump. All notices go to stderr so figure bytes on stdout stay stable.
-func exportEventLog(traceOut, metricsOut, what string, events *obs.Log) {
+func exportEventLog(traceOut, metricsOut string, events *obs.Log) {
 	write := func(path, kind string, export func(f *os.File) error) {
 		if path == "" {
 			return
@@ -384,7 +265,7 @@ func exportEventLog(traceOut, metricsOut, what string, events *obs.Log) {
 			fmt.Fprintf(os.Stderr, "paperbench: writing %s: %v\n", path, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "paperbench: wrote %s %s to %s\n", what, kind, path)
+		fmt.Fprintf(os.Stderr, "paperbench: wrote %s to %s\n", kind, path)
 	}
 	write(traceOut, "Chrome trace", func(f *os.File) error { return obs.WriteChromeTrace(f, events) })
 	write(metricsOut, "metrics dump", func(f *os.File) error { return obs.WriteMetrics(f, events) })

@@ -45,8 +45,7 @@ var Analyzer = &analysis.Analyzer{
 // held to the same determinism bar as the solvers themselves. The obs
 // package's views and exporters must be pure functions of the event
 // stream — any nondeterminism there would break the byte-identical golden
-// exports (wall-clock stamps enter events only via the injected vmpi
-// clock, which the exporters exclude). The experiment scheduler (sched)
+// exports (events carry only virtual time). The experiment scheduler (sched)
 // guarantees figure output is byte-identical at any worker count, so it may
 // not read the clock (callers inject one) or race on shared counters; the
 // fft package's plan cache feeds bit-identical spectral kernels and is held
@@ -193,7 +192,7 @@ func pkgFunc(fn *types.Func, pkg, name string) bool {
 // nondetCallee reports whether calling fn drags a nondeterminism source
 // into the hot scope: its fact summary is transitively nondeterministic
 // and it is defined outside the hot set and outside the contracted
-// layers. The vmpi clock injection and hostpar's scheduling counters are
+// layers. vmpi's buffer-pool meters and hostpar's scheduling counters are
 // documented exceptions, and direct sources (time, atomic, rand,
 // runtime) are reported by the lexical cases above with a sharper
 // message. Hot-set callees are held to the bar where they are defined,

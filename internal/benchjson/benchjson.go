@@ -1,7 +1,7 @@
 // Package benchjson collects the paperbench figure measurements into a
-// machine-readable benchmark report: every virtual-second metric that
-// appears in Figures 6–9, plus the host wall-clock time spent producing
-// each figure. The virtual seconds are deterministic (cost-model) numbers
+// machine-readable benchmark report: every virtual metric of the selected
+// figures, plus the host wall-clock time spent producing each figure
+// panel. The virtual seconds are deterministic (cost-model) numbers
 // and comparable across machines and commits; the wall-clock numbers
 // measure the implementation itself and are the regression baseline for
 // host-side performance work.
@@ -9,7 +9,6 @@ package benchjson
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"runtime"
 	"time"
@@ -63,16 +62,13 @@ type Figure struct {
 	QueueSeconds float64  `json:"queue_seconds"`
 	Metrics      []Metric `json:"metrics"`
 	// RankRows carries per-rank-count host measurements for sweep figures
-	// (the Figure 10 reports); empty for Figures 6–9.
+	// (Figure 10); empty otherwise.
 	RankRows []RankRow `json:"rank_rows,omitempty"`
 }
 
-// Metric is a single virtual-second value, named by a stable
-// slash-separated path (e.g. "fmm/A/step3/total").
-type Metric struct {
-	Name string  `json:"name"`
-	VSec float64 `json:"vsec"`
-}
+// Metric is a single virtual value, named by a stable slash-separated
+// path (e.g. "fmm/A/step3/total").
+type Metric = paperbench.Metric
 
 // hostInfo snapshots the current process environment.
 func hostInfo() Host {
@@ -86,140 +82,91 @@ func hostInfo() Host {
 	}
 }
 
-// Collect runs Figures 6–9 with the given base configuration and returns
-// the full report. The base config's Steps/Dt/Thermal are overridden with
-// each figure's defaults scaled by stepScale (1 reproduces the paperbench
-// CLI defaults; tests pass a small fraction). rankList drives the Fig. 9
-// sweeps.
-func Collect(base paperbench.Config, rankList []int, stepScale float64) *Report {
-	if stepScale <= 0 {
-		stepScale = 1
-	}
-	steps := func(def int) int {
-		s := int(float64(def) * stepScale)
-		if s < 1 {
-			s = 1
-		}
-		return s
-	}
+// RankRow is one rank count's host-side measurements inside a sweep
+// figure (Figure 10).
+type RankRow struct {
+	Ranks       int     `json:"ranks"`
+	WallSeconds float64 `json:"wall_seconds"`
+	// HeapInuseBytes and SysBytes are runtime.MemStats snapshots taken
+	// right after the rank count's experiments finish: live heap after a
+	// forced collection, and the total memory obtained from the OS (a
+	// peak-footprint proxy — the Go runtime rarely returns memory within a
+	// run, so Sys ratchets to the sweep's high-water mark).
+	HeapInuseBytes uint64 `json:"heap_inuse_bytes"`
+	SysBytes       uint64 `json:"sys_bytes"`
+	// Executor meters summed over the rank count's experiments.
+	ExecParks   int64 `json:"exec_parks"`
+	ExecWakeups int64 `json:"exec_wakeups"`
+	ExecSpawned int64 `json:"exec_spawned"`
+}
+
+// Collect runs every panel of figs under o and returns the report: one
+// Figure per panel with its wall clock, jobs, queueing time and metrics.
+// A sweep figure's rank counts are timed one after another, each as its
+// own run of the panel, so every host row's wall clock and memory
+// snapshot is attributable to that rank count alone.
+func Collect(figs []*paperbench.Figure, o paperbench.Options) *Report {
 	rep := &Report{
 		Schema:    Schema,
 		CreatedAt: time.Now().UTC().Format(time.RFC3339),
 		Host:      hostInfo(),
 		Config: Config{
-			Particles: base.Particles,
-			Ranks:     base.Ranks,
-			Accuracy:  base.Accuracy,
-			Seed:      base.Seed,
-			RankList:  rankList,
+			Particles: o.Base.Particles,
+			Ranks:     o.Base.Ranks,
+			Accuracy:  o.Base.Accuracy,
+			Seed:      o.Base.Seed,
 		},
 	}
-
-	timed := func(name string, run func() []Metric) {
-		paperbench.TakeJobStats() // discard stats from before this figure
-		start := time.Now()
-		metrics := run()
-		wall := time.Since(start).Seconds()
-		st := paperbench.TakeJobStats()
-		rep.Figures = append(rep.Figures, Figure{
-			Name:         name,
-			WallSeconds:  wall,
-			Jobs:         st.Jobs,
-			QueueSeconds: st.QueueSeconds,
-			Metrics:      metrics,
-		})
+	for _, f := range figs {
+		cfg, ranks := f.Setup(o)
+		if ranks != nil {
+			rep.Config.RankList = ranks
+		}
+		points := [][]int{ranks}
+		if f.Sweep {
+			points = nil
+			for _, p := range ranks {
+				points = append(points, []int{p})
+			}
+		}
+		for _, p := range f.Panels {
+			fig := Figure{Name: p.Bench}
+			paperbench.TakeJobStats() // discard stats from before this panel
+			for _, pr := range points {
+				start := time.Now()
+				_, metrics := p.Run(cfg, pr)
+				wall := time.Since(start).Seconds()
+				st := paperbench.TakeJobStats()
+				fig.WallSeconds += wall
+				fig.Jobs += st.Jobs
+				fig.QueueSeconds += st.QueueSeconds
+				fig.Metrics = append(fig.Metrics, metrics...)
+				if f.Sweep {
+					fig.RankRows = append(fig.RankRows, rankRow(pr[0], wall, st))
+				}
+			}
+			rep.Figures = append(rep.Figures, fig)
+		}
 	}
-
-	cfg6 := base
-	cfg6.Dt = 0.01
-	timed("fig6", func() []Metric { return fig6Metrics(paperbench.Fig6(cfg6)) })
-
-	cfg7 := base
-	cfg7.Steps, cfg7.Dt = steps(8), 0.01
-	timed("fig7", func() []Metric { return fig7Metrics(paperbench.Fig7(cfg7)) })
-
-	cfg8 := base
-	cfg8.Steps, cfg8.Dt, cfg8.Thermal = steps(60), 0.01, 2.5
-	timed("fig8", func() []Metric { return fig8Metrics(paperbench.Fig8(cfg8)) })
-
-	cfg9 := base
-	cfg9.Steps, cfg9.Dt, cfg9.Thermal = steps(25), 0.025, 2.5
-	cfg9.Machine = paperbench.JuRoPA()
-	timed("fig9l", func() []Metric {
-		return fig9Metrics("fmm", paperbench.Fig9(cfg9, "fmm", rankList))
-	})
-	cfg9r := cfg9
-	cfg9r.Machine = paperbench.Juqueen()
-	timed("fig9r", func() []Metric {
-		return fig9Metrics("p2nfft", paperbench.Fig9(cfg9r, "p2nfft", rankList))
-	})
-
 	return rep
 }
 
-func fig6Metrics(rows []paperbench.Fig6Row) []Metric {
-	var m []Metric
-	for _, r := range rows {
-		base := fmt.Sprintf("%s/%s", r.Solver, r.Dist)
-		m = append(m,
-			Metric{base + "/total", r.Total},
-			Metric{base + "/sort", r.Sort},
-			Metric{base + "/restore", r.Restor},
-		)
+// rankRow snapshots memory after one rank count's run. It collects first
+// so HeapInuse measures live memory rather than whatever garbage the last
+// collection left behind; the pause lands outside the wall-clock window.
+func rankRow(ranks int, wall float64, st paperbench.JobStats) RankRow {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return RankRow{
+		Ranks:          ranks,
+		WallSeconds:    wall,
+		HeapInuseBytes: m.HeapInuse,
+		SysBytes:       m.Sys,
+		ExecParks:      st.ExecParks,
+		ExecWakeups:    st.ExecWakeups,
+		ExecSpawned:    st.ExecSpawned,
 	}
-	return m
-}
-
-func fig7Metrics(series []paperbench.Fig7Series) []Metric {
-	var m []Metric
-	for _, s := range series {
-		second := "restore"
-		if s.Method == "B" {
-			second = "resort"
-		}
-		for i := range s.Total {
-			base := fmt.Sprintf("%s/%s/step%d", s.Solver, s.Method, i)
-			m = append(m,
-				Metric{base + "/sort", s.Sort[i]},
-				Metric{base + "/" + second, s.Second[i]},
-				Metric{base + "/total", s.Total[i]},
-			)
-		}
-	}
-	return m
-}
-
-func fig8Metrics(series []paperbench.Fig8Series) []Metric {
-	var m []Metric
-	for _, s := range series {
-		second := "restore"
-		if s.Method == "B" {
-			second = "resort"
-		}
-		for i := range s.Total {
-			base := fmt.Sprintf("%s/%s/step%d", s.Solver, s.Method, i+1)
-			m = append(m,
-				Metric{base + "/sort", s.Sort[i]},
-				Metric{base + "/" + second, s.Second[i]},
-				Metric{base + "/redist", s.Redist[i]},
-				Metric{base + "/total", s.Total[i]},
-			)
-		}
-	}
-	return m
-}
-
-func fig9Metrics(solver string, pts []paperbench.Fig9Point) []Metric {
-	var m []Metric
-	for _, p := range pts {
-		base := fmt.Sprintf("%s/ranks%d", solver, p.Ranks)
-		m = append(m,
-			Metric{base + "/totalA", p.TotalA},
-			Metric{base + "/totalB", p.TotalB},
-			Metric{base + "/totalBmv", p.TotalBMv},
-		)
-	}
-	return m
 }
 
 // WriteFile marshals the report (indented, trailing newline) to path.

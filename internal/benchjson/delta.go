@@ -163,9 +163,12 @@ func (d *Delta) Format() string {
 				r.Cur.ExecParks, r.Cur.ExecWakeups)
 		}
 	}
-	if len(d.VSec) == 0 {
+	switch {
+	case d.Compared == 0:
+		fmt.Fprintf(&b, "virtual seconds: no metrics in common with the baseline\n")
+	case len(d.VSec) == 0:
 		fmt.Fprintf(&b, "virtual seconds: %d metrics compared, all identical\n", d.Compared)
-	} else {
+	default:
 		fmt.Fprintf(&b, "virtual seconds: %d metrics compared, %d CHANGED:\n", d.Compared, len(d.VSec))
 		for _, m := range d.VSec {
 			fmt.Fprintf(&b, "  %s/%s: %.6e -> %.6e\n", m.Figure, m.Name, m.Base, m.Cur)

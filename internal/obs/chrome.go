@@ -10,8 +10,8 @@ import (
 // read by chrome://tracing and Perfetto): one "process" per world rank,
 // phase spans / collectives / barrier waits as complete ("X") events and
 // counters/gauges as counter ("C") events, all on the virtual-time axis in
-// microseconds. Wall-clock stamps are deliberately excluded so the export
-// is byte-identical across host parallelism levels.
+// microseconds, so the export is byte-identical across host parallelism
+// levels.
 func WriteChromeTrace(w io.Writer, l *Log) error {
 	var buf bytes.Buffer
 	buf.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")

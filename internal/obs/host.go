@@ -12,7 +12,7 @@ import "sync"
 // nothing schedule-dependent may ever be recorded there. HostBuffer events
 // stay on the host side (bench reports, diagnostics) and are never merged
 // into a virtual machine's Log. The package stays free of wall-clock
-// reads; emitters stamp WallNS themselves if they have an injected clock.
+// reads.
 type HostBuffer struct {
 	mu     sync.Mutex
 	events []Event

@@ -5,9 +5,8 @@
 // api.RunStats) built on top.
 //
 // Determinism contract: obs is part of the determinism-analyzer hot set.
-// Events carry virtual timestamps stamped by the emitter; the optional
-// wall-clock stamp is injected by the runtime as an opaque closure so this
-// package never reads the clock itself. Buffers are per-rank and
+// Events carry only virtual timestamps, stamped by the emitter; the
+// package never reads the host clock. Buffers are per-rank and
 // append-only — each is touched only by its rank's goroutine, so no locks
 // are needed and event order per rank is deterministic.
 package obs
@@ -75,21 +74,17 @@ func (k Kind) String() string {
 //	Counter:     Name, Value, T
 //	Gauge:       Name, Value, T
 //
-// Rank is the emitting world rank, stamped by the Buffer. WallNS is the
-// wall-clock nanosecond stamp injected by the runtime (0 when no wall
-// clock is configured); exporters that must be byte-deterministic ignore
-// it.
+// Rank is the emitting world rank, stamped by the Buffer.
 type Event struct {
-	Kind   Kind
-	Rank   int
-	Name   string
-	Peer   int
-	Tag    int
-	Bytes  int
-	T      float64 // virtual seconds
-	T2     float64 // virtual seconds (span end / arrival)
-	Value  float64
-	WallNS int64
+	Kind  Kind
+	Rank  int
+	Name  string
+	Peer  int
+	Tag   int
+	Bytes int
+	T     float64 // virtual seconds
+	T2    float64 // virtual seconds (span end / arrival)
+	Value float64
 }
 
 // Dur returns the event's span length in virtual seconds (0 for point
@@ -112,7 +107,6 @@ type Recorder interface {
 // per world rank; each is written only by that rank's goroutine.
 type Buffer struct {
 	rank   int
-	wall   func() int64
 	events []Event
 }
 
@@ -121,18 +115,9 @@ func NewBuffer(rank int) *Buffer {
 	return &Buffer{rank: rank}
 }
 
-// SetWallClock injects the wall-clock stamp source (nanoseconds since some
-// fixed origin). The closure is provided by the runtime; obs itself never
-// reads the clock, keeping the package free of wall-time calls.
-func (b *Buffer) SetWallClock(wall func() int64) { b.wall = wall }
-
-// Record implements Recorder: stamps the rank (and wall clock, when
-// configured) and appends.
+// Record implements Recorder: stamps the rank and appends.
 func (b *Buffer) Record(e Event) {
 	e.Rank = b.rank
-	if b.wall != nil {
-		e.WallNS = b.wall()
-	}
 	b.events = append(b.events, e)
 }
 

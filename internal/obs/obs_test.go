@@ -29,15 +29,6 @@ func TestBufferStampsRank(t *testing.T) {
 	if got := b.Events()[0].Rank; got != 7 {
 		t.Fatalf("rank stamp = %d, want 7", got)
 	}
-	if b.Events()[0].WallNS != 0 {
-		t.Fatalf("wall stamp without clock = %d, want 0", b.Events()[0].WallNS)
-	}
-	ticks := int64(0)
-	b.SetWallClock(func() int64 { ticks += 5; return ticks })
-	b.Record(Event{Kind: KindCounter, Name: "y", Value: 1})
-	if got := b.Events()[1].WallNS; got != 5 {
-		t.Fatalf("wall stamp = %d, want 5", got)
-	}
 }
 
 func TestBufferSince(t *testing.T) {

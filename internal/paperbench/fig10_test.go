@@ -35,19 +35,6 @@ func TestFig10SmallSweep(t *testing.T) {
 	}
 }
 
-// TestFig10EvalAgreesWithSweep pins that Fig10Eval (the per-rank-count
-// entry benchjson times) produces exactly the sweep's virtual costs.
-// Run-slot-count identity is TestFigureWorkerCountIdentity's job.
-func TestFig10EvalAgreesWithSweep(t *testing.T) {
-	ranks := []int{4, 8}
-	sweep := Fig10(JuRoPA(), ranks)
-	for i, p := range ranks {
-		if got := Fig10Eval(JuRoPA(), p); got != sweep[i] {
-			t.Errorf("Fig10Eval(%d) = %+v, sweep produced %+v", p, got, sweep[i])
-		}
-	}
-}
-
 // TestFig10DriftBounded verifies the workload generator's contract: a
 // drifted key never leaves the global key space and never moves an element
 // further than one owner range, the property that makes the ±1 neighborhood

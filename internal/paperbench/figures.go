@@ -320,7 +320,10 @@ func sparkline(v []float64) string {
 			hi = math.Max(hi, x)
 		}
 	}
-	if math.IsInf(lo, 1) || lo == hi {
+	// Values within rounding of each other have a zero log span even when
+	// they are not equal; those render flat too.
+	span := math.Log(hi) - math.Log(lo)
+	if math.IsInf(lo, 1) || span == 0 {
 		return strings.Repeat("▁", len(v))
 	}
 	var b strings.Builder
@@ -329,7 +332,7 @@ func sparkline(v []float64) string {
 			b.WriteRune('▁')
 			continue
 		}
-		f := (math.Log(x) - math.Log(lo)) / (math.Log(hi) - math.Log(lo))
+		f := (math.Log(x) - math.Log(lo)) / span
 		idx := int(f * float64(len([]rune(glyphs))-1))
 		b.WriteRune([]rune(glyphs)[idx])
 	}

@@ -167,17 +167,6 @@ func fig10Run(machine Machine, ranks int, merge bool) float64 {
 	return steady
 }
 
-// Fig10Eval measures one rank count on one machine: both strategies,
-// scheduled as independent experiments. benchjson times each call to
-// attribute wall clock and memory to individual rank counts.
-func Fig10Eval(machine Machine, ranks int) Fig10Point {
-	vals := runJobs([]func() float64{
-		func() float64 { return fig10Run(machine, ranks, true) },
-		func() float64 { return fig10Run(machine, ranks, false) },
-	})
-	return Fig10Point{Ranks: ranks, Merge: vals[0], Neighborhood: vals[1]}
-}
-
 // Fig10 sweeps the rank counts on one machine. All strategy cells are
 // flattened into one scheduler batch, so they fill the worker pool.
 func Fig10(machine Machine, rankList []int) []Fig10Point {

@@ -84,22 +84,6 @@ const (
 	ExecMaxSlotsGauge     = "vmpi/exec/max_slots"
 )
 
-// Message-buffer pool meters (process-wide snapshots, emitted as gauges).
-const (
-	PoolGetsGauge      = "vmpi/pool/gets"
-	PoolPutsGauge      = "vmpi/pool/puts"
-	PoolMissesGauge    = "vmpi/pool/misses"
-	PoolWasteGauge     = "vmpi/pool/waste_bytes"
-	PoolInUseGauge     = "vmpi/pool/in_use_bytes"
-	PoolHighWaterGauge = "vmpi/pool/high_water_bytes"
-)
-
-// HostObs returns the process-wide host-side observability buffer that the
-// scheduler, the executor meters, and the pool snapshots flow into. Its
-// events are host-domain (schedule-dependent) and are never merged into a
-// virtual machine's event log or the golden exports.
-func HostObs() *obs.HostBuffer { return jobStats }
-
 // recordExecStats appends one run's executor meters.
 func recordExecStats(ex *vmpi.ExecStats) {
 	jobStats.Counter(ExecParksCounter, float64(ex.Parks))
@@ -110,25 +94,15 @@ func recordExecStats(ex *vmpi.ExecStats) {
 	jobStats.Gauge(ExecMaxSlotsGauge, float64(ex.MaxSlots))
 }
 
-// RecordPoolStats snapshots the vmpi message-buffer pool counters into the
-// host buffer, making oversized-class waste visible alongside the bench
-// reports at large rank counts.
-func RecordPoolStats() {
-	ps := vmpi.PoolStatsSnapshot()
-	jobStats.Gauge(PoolGetsGauge, float64(ps.Gets))
-	jobStats.Gauge(PoolPutsGauge, float64(ps.Puts))
-	jobStats.Gauge(PoolMissesGauge, float64(ps.Misses))
-	jobStats.Gauge(PoolWasteGauge, float64(ps.WasteBytes))
-	jobStats.Gauge(PoolInUseGauge, float64(ps.InUseBytes))
-	jobStats.Gauge(PoolHighWaterGauge, float64(ps.HighWaterBytes))
-}
-
 var (
+	// jobStats is the process-wide host-side buffer the scheduler and the
+	// executor meters flow into. Its events are schedule-dependent and are
+	// never merged into a virtual machine's event log or the golden exports.
 	jobStats  = obs.NewHostBuffer()
 	jobsEpoch = time.Now()
 )
 
-// JobStats aggregates the scheduler's obs counters over a span of figure
+// JobStats aggregates the host buffer's counters over a span of figure
 // runs.
 type JobStats struct {
 	// Jobs is the number of experiments completed.
@@ -137,11 +111,15 @@ type JobStats struct {
 	QueueSeconds float64
 	// RunSeconds is the summed host time jobs spent running.
 	RunSeconds float64
+	// ExecParks, ExecWakeups and ExecSpawned are the executor meters
+	// summed over the experiments' runs.
+	ExecParks, ExecWakeups, ExecSpawned int64
 }
 
-// TakeJobStats returns the scheduler statistics accumulated since the
-// previous call and advances the mark, so callers can attribute jobs and
-// queueing time to individual figures (benchjson does this per figure).
+// TakeJobStats returns the statistics accumulated since the previous call
+// and advances the mark, so callers can attribute jobs, queueing time and
+// executor meters to individual figures (benchjson does this per figure
+// and per rank count).
 func TakeJobStats() JobStats {
 	var st JobStats
 	for _, e := range jobStats.Take() {
@@ -155,6 +133,12 @@ func TakeJobStats() JobStats {
 			st.QueueSeconds += e.Value
 		case JobRunCounter:
 			st.RunSeconds += e.Value
+		case ExecParksCounter:
+			st.ExecParks += int64(e.Value)
+		case ExecWakeupsCounter:
+			st.ExecWakeups += int64(e.Value)
+		case ExecSpawnedCounter:
+			st.ExecSpawned += int64(e.Value)
 		}
 	}
 	return st

@@ -1,6 +1,7 @@
 package paperbench
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -214,6 +215,9 @@ func avg(v []float64) float64 {
 func TestSparkline(t *testing.T) {
 	if got := sparkline(nil); got != "" {
 		t.Errorf("empty series: %q", got)
+	}
+	if got := sparkline([]float64{1e-3, math.Nextafter(1e-3, 1)}); got != "▁▁" {
+		t.Errorf("values one ulp apart: sparkline = %q, want flat", got)
 	}
 	flat := sparkline([]float64{1, 1, 1})
 	if flat != "▁▁▁" {

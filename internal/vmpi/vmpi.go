@@ -39,7 +39,6 @@ import (
 	"reflect"
 	"sort"
 	"sync"
-	"time"
 	"unsafe"
 
 	"repro/internal/netmodel"
@@ -316,8 +315,6 @@ type Runtime struct {
 	maxExchangeBytes int64
 	// f is the rank body; Resize re-invokes it for admitted ranks.
 	f func(c *Comm)
-	// wall injects host wall-clock stamps into new obs buffers.
-	wall func() int64
 
 	// mu guards world, which rank 0 of a resize swaps while every other
 	// rank is quiescent. All cross-goroutine reads go through a lock so
@@ -508,8 +505,6 @@ func (s *Stats) TotalMessages() int64 {
 // observability buffer. id is the instance id, node the network position,
 // admit/joinEpoch the admission coordinates.
 func (rt *Runtime) newInstance(id, node int, admit float64, joinEpoch int) *rankInstance {
-	buf := obs.NewBuffer(id)
-	buf.SetWallClock(rt.wall)
 	return &rankInstance{
 		box:  newMailbox(),
 		node: node,
@@ -520,7 +515,7 @@ func (rt *Runtime) newInstance(id, node int, admit float64, joinEpoch int) *rank
 			retire:      -1,
 			joinEpoch:   joinEpoch,
 			maxExchange: rt.maxExchangeBytes,
-			rec:         buf,
+			rec:         obs.NewBuffer(id),
 		},
 	}
 }
@@ -562,11 +557,6 @@ func Run(cfg Config, f func(c *Comm)) *Stats {
 		traceMsgs:        cfg.Trace,
 		f:                f,
 	}
-	// Wall-clock stamps are injected here so the obs package itself never
-	// reads the clock (it is part of the determinism-analyzer hot set);
-	// exporters that must be byte-deterministic ignore the wall stamps.
-	epoch := time.Now()
-	rt.wall = func() int64 { return time.Since(epoch).Nanoseconds() }
 	// All world communicators share one read-only members slice: Comm
 	// never mutates members (Split/Dup build fresh slices), and a per-rank
 	// copy would cost O(P²) memory at paper-scale rank counts.
